@@ -59,31 +59,4 @@ MacAddress MacAddress::broadcast() {
   return MacAddress{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}};
 }
 
-namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int b = 0; b < 8; ++b)
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i)
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32(const std::vector<std::uint8_t>& data) {
-  return crc32(data.data(), data.size());
-}
-
 }  // namespace deepcsi::capture

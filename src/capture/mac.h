@@ -1,10 +1,9 @@
-// IEEE 802 MAC addresses and the CRC-32 used for the 802.11 FCS.
+// IEEE 802 MAC addresses. (The 802.11 FCS uses common::crc32.)
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace deepcsi::capture {
 
@@ -34,9 +33,5 @@ struct MacAddress {
   static MacAddress for_fleet_station(std::uint64_t station_id);
   static MacAddress broadcast();
 };
-
-// IEEE CRC-32 (reflected, polynomial 0xEDB88320) over a byte range.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
-std::uint32_t crc32(const std::vector<std::uint8_t>& data);
 
 }  // namespace deepcsi::capture

@@ -1,6 +1,7 @@
 #include "capture/vht_frame.h"
 
 #include "common/check.h"
+#include "common/crc32.h"
 
 namespace deepcsi::capture {
 namespace {
@@ -81,7 +82,7 @@ std::vector<std::uint8_t> BeamformingActionFrame::serialize() const {
   const auto mc = mimo_control.pack();
   out.insert(out.end(), mc.begin(), mc.end());
   out.insert(out.end(), report.begin(), report.end());
-  const std::uint32_t fcs = crc32(out);
+  const std::uint32_t fcs = common::crc32(out.data(), out.size());
   for (int i = 0; i < 4; ++i)
     out.push_back(static_cast<std::uint8_t>((fcs >> (8 * i)) & 0xFF));
   return out;
@@ -99,7 +100,7 @@ std::optional<BeamformingActionFrame> BeamformingActionFrame::parse(
   const std::size_t body = bytes.size() - 4;
   std::uint32_t fcs = 0;
   for (int i = 3; i >= 0; --i) fcs = (fcs << 8) | bytes[body + static_cast<std::size_t>(i)];
-  if (crc32(bytes.data(), body) != fcs) return std::nullopt;
+  if (common::crc32(bytes.data(), body) != fcs) return std::nullopt;
 
   BeamformingActionFrame f;
   std::size_t at = 4;

@@ -211,6 +211,13 @@ Authenticator::Prediction Authenticator::classify(
   return p;
 }
 
+Authenticator::Prediction Authenticator::classify(
+    const feedback::AngleCodes& codes) const {
+  Prediction p;
+  classify_batch_into(std::span(&codes, 1), std::span(&p, 1));
+  return p;
+}
+
 std::vector<Authenticator::Prediction> Authenticator::classify_batch(
     std::span<const feedback::CompressedFeedbackReport> reports) const {
   std::vector<Prediction> out(reports.size());
@@ -221,6 +228,18 @@ std::vector<Authenticator::Prediction> Authenticator::classify_batch(
 void Authenticator::classify_batch_into(
     std::span<const feedback::CompressedFeedbackReport> reports,
     std::span<Prediction> out) const {
+  classify_into(reports, out);
+}
+
+void Authenticator::classify_batch_into(
+    std::span<const feedback::AngleCodes> reports,
+    std::span<Prediction> out) const {
+  classify_into(reports, out);
+}
+
+template <typename Report>
+void Authenticator::classify_into(std::span<const Report> reports,
+                                  std::span<Prediction> out) const {
   DEEPCSI_CHECK(out.size() >= reports.size());
   if (reports.empty()) return;
 

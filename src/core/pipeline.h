@@ -15,6 +15,7 @@
 
 #include "core/model.h"
 #include "dataset/splits.h"
+#include "feedback/angle_codes.h"
 #include "nn/infer.h"
 #include "nn/metrics.h"
 #include "nn/quantize.h"
@@ -115,6 +116,7 @@ class Authenticator {
 
   // Classify one observed feedback report. Thread-safe.
   Prediction classify(const feedback::CompressedFeedbackReport& report) const;
+  Prediction classify(const feedback::AngleCodes& codes) const;
 
   // Batched serving path: packs reports into the leased context's arena
   // (feature assembly fans out over the thread pool) and runs pooled
@@ -129,6 +131,9 @@ class Authenticator {
   void classify_batch_into(
       std::span<const feedback::CompressedFeedbackReport> reports,
       std::span<Prediction> out) const;
+  // The serving lanes' form: flat reports, bit-identical predictions.
+  void classify_batch_into(std::span<const feedback::AngleCodes> reports,
+                           std::span<Prediction> out) const;
 
   // PHY-layer authentication: does the report's fingerprint match the
   // claimed module id with at least `min_confidence`?
@@ -212,6 +217,10 @@ class Authenticator {
     std::atomic<std::uint64_t> swaps_rolled_back{0};
   };
   std::shared_ptr<Epoch> pin_epoch() const;
+  // Body of both classify_batch_into overloads (Report: either form).
+  template <typename Report>
+  void classify_into(std::span<const Report> reports,
+                     std::span<Prediction> out) const;
   void publish_epoch(std::shared_ptr<Epoch> staged);
 
   dataset::InputSpec spec_;

@@ -7,7 +7,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "feedback/quantizer.h"
+#include "feedback/angle_codes.h"
 
 namespace deepcsi::dataset {
 namespace {
@@ -58,6 +58,81 @@ void clean_linear_phase(linalg::cplx* row, const std::vector<int>& ks,
     row[i] *= std::polar(1.0, -(a + b * ks[i]));
 }
 
+// One report position: its sub-carrier index and phi/psi codes.
+struct CodesAt {
+  int subcarrier;
+  const std::uint16_t* phi;
+  const std::uint16_t* psi;
+};
+
+// The one feature kernel behind both report forms; `at(pos)` reads a
+// position out of either. Vtilde is rebuilt with table cos/sin
+// (feedback::reconstruct_v_codes), so no trigonometry runs per report.
+template <typename At>
+void fill_from_codes(int m, int nss, const feedback::QuantConfig& quant,
+                     std::size_t num_subcarriers, At&& at,
+                     const InputSpec& spec, float* out,
+                     FeatureScratch& scratch) {
+  DEEPCSI_CHECK_MSG(spec.stream >= 0 && spec.stream < nss,
+                    "requested spatial stream not in this feedback");
+  DEEPCSI_CHECK(spec.num_antennas <= m);
+  // Validate up front: an invalid stride must fail loudly even when it
+  // happens to equal the scratch's not-yet-computed sentinel.
+  DEEPCSI_CHECK(spec.subcarrier_stride >= 1);
+
+  if (scratch.subcarrier_stride != spec.subcarrier_stride ||
+      scratch.band != spec.band) {
+    scratch.positions = selected_positions(spec);
+    scratch.band = spec.band;
+    scratch.subcarrier_stride = spec.subcarrier_stride;
+  }
+  const std::vector<std::size_t>& positions = scratch.positions;
+  const std::size_t w = positions.size();
+  const std::size_t a = static_cast<std::size_t>(spec.num_antennas);
+  const feedback::AngleTables& tables = feedback::angle_tables(quant);
+
+  // Reconstruct the selected Vtilde column for each selected sub-carrier
+  // into the reused scratch matrix.
+  scratch.rows.resize(a * w);
+  scratch.ks.resize(w);
+  for (std::size_t i = 0; i < w; ++i) {
+    const std::size_t pos = positions[i];
+    DEEPCSI_CHECK(pos < num_subcarriers);
+    const CodesAt codes = at(pos);
+    feedback::reconstruct_v_codes(codes.phi, codes.psi, m, nss, tables,
+                                  &scratch.v);
+    for (std::size_t r = 0; r < a; ++r)
+      scratch.rows[r * w + i] =
+          scratch.v(r, static_cast<std::size_t>(spec.stream));
+    scratch.ks[i] = codes.subcarrier;
+  }
+
+  if (spec.offset_correction)
+    for (std::size_t r = 0; r < a; ++r)
+      clean_linear_phase(scratch.rows.data() + r * w, scratch.ks,
+                         scratch.phase);
+
+  // Channel layout: I_0, Q_0, I_1, Q_1, ..., with Q omitted for the last
+  // TX antenna row (real non-negative by construction).
+  std::size_t ch = 0;
+  for (std::size_t r = 0; r < a; ++r) {
+    const bool is_last_tx_row = (static_cast<int>(r) == m - 1);
+    const linalg::cplx* row = scratch.rows.data() + r * w;
+    float* i_plane = out + ch * w;
+    ++ch;
+    float* q_plane = nullptr;
+    if (!is_last_tx_row) {
+      q_plane = out + ch * w;
+      ++ch;
+    }
+    for (std::size_t i = 0; i < w; ++i) {
+      i_plane[i] = static_cast<float>(row[i].real());
+      if (q_plane != nullptr) q_plane[i] = static_cast<float>(row[i].imag());
+    }
+  }
+  DEEPCSI_CHECK(ch == static_cast<std::size_t>(num_input_channels(spec)));
+}
+
 }  // namespace
 
 int num_input_channels(const InputSpec& spec) {
@@ -78,63 +153,33 @@ void fill_features(const feedback::CompressedFeedbackReport& report,
 
 void fill_features(const feedback::CompressedFeedbackReport& report,
                    const InputSpec& spec, float* out, FeatureScratch& scratch) {
-  DEEPCSI_CHECK_MSG(spec.stream >= 0 && spec.stream < report.nss,
-                    "requested spatial stream not in this feedback");
-  DEEPCSI_CHECK(spec.num_antennas <= report.m);
-  // Validate up front: an invalid stride must fail loudly even when it
-  // happens to equal the scratch's not-yet-computed sentinel.
-  DEEPCSI_CHECK(spec.subcarrier_stride >= 1);
+  const std::size_t angles = feedback::num_angles(report.m, report.nss);
+  fill_from_codes(
+      report.m, report.nss, report.quant, report.per_subcarrier.size(),
+      [&](std::size_t pos) {
+        const feedback::QuantizedAngles& qa = report.per_subcarrier[pos];
+        DEEPCSI_CHECK(qa.m == report.m && qa.nss == report.nss);
+        DEEPCSI_CHECK(qa.q_phi.size() == angles && qa.q_psi.size() == angles);
+        return CodesAt{report.subcarriers[pos], qa.q_phi.data(),
+                       qa.q_psi.data()};
+      },
+      spec, out, scratch);
+}
 
-  if (scratch.subcarrier_stride != spec.subcarrier_stride ||
-      scratch.band != spec.band) {
-    scratch.positions = selected_positions(spec);
-    scratch.band = spec.band;
-    scratch.subcarrier_stride = spec.subcarrier_stride;
-  }
-  const std::vector<std::size_t>& positions = scratch.positions;
-  const std::size_t w = positions.size();
-  const std::size_t a = static_cast<std::size_t>(spec.num_antennas);
+void fill_features(const feedback::AngleCodes& codes, const InputSpec& spec,
+                   float* out) {
+  thread_local FeatureScratch scratch;
+  fill_features(codes, spec, out, scratch);
+}
 
-  // Reconstruct the selected Vtilde column for each selected sub-carrier;
-  // dequantize and the rotation kernels write into the reused scratch.
-  scratch.rows.resize(a * w);
-  scratch.ks.resize(w);
-  for (std::size_t i = 0; i < w; ++i) {
-    const std::size_t pos = positions[i];
-    DEEPCSI_CHECK(pos < report.per_subcarrier.size());
-    feedback::dequantize_into(report.per_subcarrier[pos], report.quant,
-                              &scratch.angles);
-    feedback::reconstruct_v_into(scratch.angles, &scratch.v);
-    for (std::size_t m = 0; m < a; ++m)
-      scratch.rows[m * w + i] =
-          scratch.v(m, static_cast<std::size_t>(spec.stream));
-    scratch.ks[i] = report.subcarriers[pos];
-  }
-
-  if (spec.offset_correction)
-    for (std::size_t m = 0; m < a; ++m)
-      clean_linear_phase(scratch.rows.data() + m * w, scratch.ks,
-                         scratch.phase);
-
-  // Channel layout: I_0, Q_0, I_1, Q_1, ..., with Q omitted for the last
-  // TX antenna row (real non-negative by construction).
-  std::size_t ch = 0;
-  for (std::size_t m = 0; m < a; ++m) {
-    const bool is_last_tx_row = (static_cast<int>(m) == report.m - 1);
-    const linalg::cplx* row = scratch.rows.data() + m * w;
-    float* i_plane = out + ch * w;
-    ++ch;
-    float* q_plane = nullptr;
-    if (!is_last_tx_row) {
-      q_plane = out + ch * w;
-      ++ch;
-    }
-    for (std::size_t i = 0; i < w; ++i) {
-      i_plane[i] = static_cast<float>(row[i].real());
-      if (q_plane != nullptr) q_plane[i] = static_cast<float>(row[i].imag());
-    }
-  }
-  DEEPCSI_CHECK(ch == static_cast<std::size_t>(num_input_channels(spec)));
+void fill_features(const feedback::AngleCodes& codes, const InputSpec& spec,
+                   float* out, FeatureScratch& scratch) {
+  fill_from_codes(
+      codes.m(), codes.nss(), codes.quant(), codes.num_subcarriers(),
+      [&](std::size_t pos) {
+        return CodesAt{codes.subcarrier(pos), codes.phi(pos), codes.psi(pos)};
+      },
+      spec, out, scratch);
 }
 
 nn::LabeledSet make_labeled_set(const std::vector<Trace>& traces,

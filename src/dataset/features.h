@@ -12,7 +12,7 @@
 
 #include "dataset/scale.h"
 #include "dataset/traces.h"
-#include "feedback/angles.h"
+#include "feedback/angle_codes.h"
 #include "linalg/cmat.h"
 #include "nn/trainer.h"
 #include "phy/ofdm.h"
@@ -37,11 +37,11 @@ int num_input_channels(const InputSpec& spec);
 std::size_t num_input_columns(const InputSpec& spec);
 
 // Reusable working state for fill_features. Holding one of these per
-// thread makes steady-state feature assembly allocation-free: the angle
-// buffers, the reconstructed Vtilde matrix, the per-antenna row staging
-// and the selected-position cache all reach their high-water capacity on
-// the first report and are reused verbatim afterwards. The position list
-// is keyed on (band, stride) and recomputed only when the spec changes.
+// thread makes steady-state feature assembly allocation-free: the
+// reconstructed Vtilde matrix, the per-antenna row staging and the
+// selected-position cache all reach their high-water capacity on the
+// first report and are reused verbatim afterwards. The position list is
+// keyed on (band, stride) and recomputed only when the spec changes.
 struct FeatureScratch {
   phy::Band band = phy::Band::k80MHz;
   int subcarrier_stride = -1;  // -1: positions not yet computed
@@ -49,19 +49,24 @@ struct FeatureScratch {
 
   std::vector<linalg::cplx> rows;  // [num_antennas x W], row-major
   std::vector<int> ks;             // selected sub-carrier indices
-  feedback::BfmAngles angles;      // dequantize_into target
-  linalg::CMat v;                  // reconstruct_v_into target
+  linalg::CMat v;                  // reconstruct_v_codes target
   std::vector<double> phase;       // clean_linear_phase working buffer
 };
 
 // Reconstructs Vtilde from the quantized report and writes the feature
 // plane [C, 1, W] at `out` (contiguous, C*W floats). The scratch-less
-// overload uses a thread-local FeatureScratch, so per-report ingest is
-// allocation-free in steady state from any pool thread.
+// overloads use a thread-local FeatureScratch, so per-report ingest is
+// allocation-free in steady state from any pool thread. Both report forms
+// run the same table-lookup kernel (feedback::reconstruct_v_codes) and
+// give bit-identical features.
 void fill_features(const feedback::CompressedFeedbackReport& report,
                    const InputSpec& spec, float* out);
 void fill_features(const feedback::CompressedFeedbackReport& report,
                    const InputSpec& spec, float* out, FeatureScratch& scratch);
+void fill_features(const feedback::AngleCodes& codes, const InputSpec& spec,
+                   float* out);
+void fill_features(const feedback::AngleCodes& codes, const InputSpec& spec,
+                   float* out, FeatureScratch& scratch);
 
 // Stack selected snapshots of many traces into a labeled set
 // (label = module_id). Snapshot selection: indices [lo_frac, hi_frac) of

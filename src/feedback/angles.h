@@ -50,8 +50,9 @@ CMat reconstruct_v(const BfmAngles& angles);
 // reconstruct_v writing into caller-owned storage: `out` is reshaped with
 // set_eye (reusing its heap block in steady state) and the D / G^T factors
 // are applied as in-place rotations directly on the M x NSS matrix. The
-// per-report ingest path calls this once per selected sub-carrier with a
-// per-thread scratch matrix, making reconstruction allocation-free.
+// per-report feature path runs the same sequence from angle codes with
+// table cos/sin (reconstruct_v_codes, feedback/angle_codes.h); this form
+// is its bit-exact reference.
 void reconstruct_v_into(const BfmAngles& angles, CMat* out);
 
 // The literal matrix-product form of Eq. (7): multiplies explicit

@@ -30,15 +30,17 @@ std::vector<std::uint8_t> BitWriter::finish() {
 
 std::uint32_t BitReader::read(int bits) {
   DEEPCSI_CHECK(bits >= 1 && bits <= 16);
-  if (bits_read_ + static_cast<std::size_t>(bits) > bytes_.size() * 8)
+  const std::size_t end = bits_read_ + static_cast<std::size_t>(bits);
+  if (end > bytes_.size() * 8)
     throw std::out_of_range("BitReader: read past end of report");
-  std::uint32_t out = 0;
-  for (int i = 0; i < bits; ++i) {
-    const std::size_t bit = bits_read_ + static_cast<std::size_t>(i);
-    const std::uint8_t byte = bytes_[bit / 8];
-    out |= static_cast<std::uint32_t>((byte >> (bit % 8)) & 1u) << i;
-  }
-  bits_read_ += static_cast<std::size_t>(bits);
+  // A field of <= 16 bits starting at bit offset 0..7 spans at most three
+  // bytes: load those (never past the last byte), then shift and mask once.
+  const std::size_t first = bits_read_ / 8, last = (end - 1) / 8;
+  std::uint32_t window = 0;
+  for (std::size_t b = first; b <= last; ++b)
+    window |= static_cast<std::uint32_t>(bytes_[b]) << (8 * (b - first));
+  const std::uint32_t out = (window >> (bits_read_ % 8)) & ((1u << bits) - 1u);
+  bits_read_ = end;
   return out;
 }
 
@@ -92,6 +94,7 @@ CompressedFeedbackReport unpack_report(const std::vector<std::uint8_t>& bytes,
   report.m = m;
   report.nss = nss;
   report.subcarriers = subcarriers;
+  report.per_subcarrier.reserve(subcarriers.size());
   BitReader r(bytes);
   for (std::size_t ki = 0; ki < subcarriers.size(); ++ki) {
     QuantizedAngles qa;

@@ -67,22 +67,15 @@ QuantizedAngles quantize(const BfmAngles& a, const QuantConfig& cfg) {
 
 BfmAngles dequantize(const QuantizedAngles& q, const QuantConfig& cfg) {
   BfmAngles a;
-  dequantize_into(q, cfg, &a);
-  return a;
-}
-
-void dequantize_into(const QuantizedAngles& q, const QuantConfig& cfg,
-                     BfmAngles* out) {
-  out->m = q.m;
-  out->nss = q.nss;
-  out->phi.clear();
-  out->psi.clear();
-  out->phi.reserve(q.q_phi.size());
-  out->psi.reserve(q.q_psi.size());
+  a.m = q.m;
+  a.nss = q.nss;
+  a.phi.reserve(q.q_phi.size());
+  a.psi.reserve(q.q_psi.size());
   for (std::uint16_t v : q.q_phi)
-    out->phi.push_back(dequantize_phi(v, cfg.b_phi));
+    a.phi.push_back(dequantize_phi(v, cfg.b_phi));
   for (std::uint16_t v : q.q_psi)
-    out->psi.push_back(dequantize_psi(v, cfg.b_psi));
+    a.psi.push_back(dequantize_psi(v, cfg.b_psi));
+  return a;
 }
 
 CMat quantized_vtilde(const CMat& v, const QuantConfig& cfg) {

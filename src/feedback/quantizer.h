@@ -42,12 +42,6 @@ struct QuantizedAngles {
 QuantizedAngles quantize(const BfmAngles& a, const QuantConfig& cfg);
 BfmAngles dequantize(const QuantizedAngles& q, const QuantConfig& cfg);
 
-// dequantize into caller-owned storage: `out`'s angle vectors are cleared
-// and refilled, so a reused BfmAngles reaches steady-state capacity after
-// one call and the per-report ingest path stops touching the heap.
-void dequantize_into(const QuantizedAngles& q, const QuantConfig& cfg,
-                     BfmAngles* out);
-
 // Convenience: full compress -> reconstruct round trip for one V matrix
 // (decompose, quantize, dequantize, rebuild). This is exactly what the
 // beamformer sees after the feedback exchange.

@@ -139,8 +139,11 @@ void CMat::set_eye(std::size_t rows, std::size_t cols) {
 }
 
 void CMat::apply_givens_left(std::size_t a, std::size_t b, double psi) {
+  rotate_rows(a, b, std::cos(psi), std::sin(psi));
+}
+
+void CMat::rotate_rows(std::size_t a, std::size_t b, double c, double s) {
   DEEPCSI_CHECK(a < rows_ && b < rows_ && a != b);
-  const double c = std::cos(psi), s = std::sin(psi);
   simd::ops().givens_left(flat(data_.data() + a * cols_),
                           flat(data_.data() + b * cols_), cols_, c, s);
 }
@@ -153,12 +156,14 @@ void CMat::apply_givens_right(std::size_t a, std::size_t b, double psi) {
 
 void CMat::scale_rows_polar(std::size_t first, std::span<const double> phases) {
   DEEPCSI_CHECK(first + phases.size() <= rows_);
-  const simd::SimdOps& ops = simd::ops();
-  for (std::size_t t = 0; t < phases.size(); ++t) {
-    const cplx f = std::polar(1.0, phases[t]);
-    ops.scale_row_polar(flat(data_.data() + (first + t) * cols_), cols_,
-                        f.real(), f.imag());
-  }
+  for (std::size_t t = 0; t < phases.size(); ++t)
+    scale_row_phasor(first + t, std::polar(1.0, phases[t]));
+}
+
+void CMat::scale_row_phasor(std::size_t r, cplx phasor) {
+  DEEPCSI_CHECK(r < rows_);
+  simd::ops().scale_row_polar(flat(data_.data() + r * cols_), cols_,
+                              phasor.real(), phasor.imag());
 }
 
 void CMat::scale_cols_polar(std::size_t first, std::span<const double> phases) {

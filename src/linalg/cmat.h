@@ -82,6 +82,9 @@ class CMat {
   //
   // A <- G * A: row_a' = c*row_a + s*row_b, row_b' = -s*row_a + c*row_b.
   void apply_givens_left(std::size_t a, std::size_t b, double psi);
+  // apply_givens_left with c = cos psi, s = sin psi already computed (the
+  // table-driven feedback rebuild looks them up per angle code).
+  void rotate_rows(std::size_t a, std::size_t b, double c, double s);
   // A <- A * G: col_a' = c*col_a - s*col_b, col_b' = s*col_a + c*col_b.
   void apply_givens_right(std::size_t a, std::size_t b, double psi);
 
@@ -95,6 +98,8 @@ class CMat {
   // row/column (first + t) is multiplied by e^{j * phases[t]}. Conjugate
   // (D^dagger) application is a negated-phase span at the call site.
   void scale_rows_polar(std::size_t first, std::span<const double> phases);
+  // Row r multiplied by a precomputed unit phasor e^{j phase}.
+  void scale_row_phasor(std::size_t r, cplx phasor);
   void scale_cols_polar(std::size_t first, std::span<const double> phases);
 
   double frobenius_norm() const;

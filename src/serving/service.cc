@@ -12,13 +12,14 @@ namespace deepcsi::serving {
 
 namespace {
 
-// Nearest-rank percentile over an ascending-sorted sample.
-double percentile_ms(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
+// Nearest-rank percentile; partially reorders `sample`.
+double percentile_ms(std::vector<double>& sample, double q) {
+  if (sample.empty()) return 0.0;
   const std::size_t rank = std::min(
-      sorted.size() - 1,
-      static_cast<std::size_t>(q * static_cast<double>(sorted.size())));
-  return sorted[rank];
+      sample.size() - 1,
+      static_cast<std::size_t>(q * static_cast<double>(sample.size())));
+  std::nth_element(sample.begin(), sample.begin() + rank, sample.end());
+  return sample[rank];
 }
 
 std::size_t lane_count(const ServiceConfig& cfg) {
@@ -47,6 +48,16 @@ std::vector<common::ReportQueue<PendingReport>*> queue_ptrs(
   ptrs.reserve(queues.size());
   for (const auto& q : queues) ptrs.push_back(q.get());
   return ptrs;
+}
+
+PendingReport pending(capture::MacAddress station, double timestamp_s,
+                      const feedback::CompressedFeedbackReport& report) {
+  PendingReport item;
+  item.station = station;
+  item.timestamp_s = timestamp_s;
+  item.codes = feedback::AngleCodes(report);
+  item.enqueued_at = std::chrono::steady_clock::now();
+  return item;
 }
 
 }  // namespace
@@ -83,32 +94,21 @@ std::size_t AuthService::lane_for(const capture::MacAddress& station) const {
 }
 
 bool AuthService::submit(const capture::ObservedFeedback& obs) {
-  return submit(obs.beamformee, obs.timestamp_s, obs.report);
+  return queues_[lane_for(obs.beamformee)]->push(
+      pending(obs.beamformee, obs.timestamp_s, obs.report));
 }
 
 bool AuthService::submit(capture::MacAddress station, double timestamp_s,
                          feedback::CompressedFeedbackReport report) {
-  PendingReport item;
-  item.station = station;
-  item.timestamp_s = timestamp_s;
-  item.report = std::move(report);
-  item.enqueued_at = std::chrono::steady_clock::now();
-  return queues_[lane_for(station)]->push(std::move(item));
+  // `report` dies here, on the thread that built it.
+  return queues_[lane_for(station)]->push(
+      pending(station, timestamp_s, report));
 }
 
-common::PushStatus AuthService::try_submit(capture::ObservedFeedback& obs) {
-  PendingReport item;
-  item.station = obs.beamformee;
-  item.timestamp_s = obs.timestamp_s;
-  item.report = std::move(obs.report);
-  item.enqueued_at = std::chrono::steady_clock::now();
-  const common::PushStatus status =
-      queues_[lane_for(item.station)]->try_push(item);
-  // try_push moves from `item` only on kAccepted; on would-block hand the
-  // payload back so the caller can park the report and retry later.
-  if (status == common::PushStatus::kWouldBlock)
-    obs.report = std::move(item.report);
-  return status;
+common::PushStatus AuthService::try_submit(
+    const capture::ObservedFeedback& obs) {
+  PendingReport item = pending(obs.beamformee, obs.timestamp_s, obs.report);
+  return queues_[lane_for(item.station)]->try_push(item);
 }
 
 void AuthService::set_verdict_callback(VerdictCallback cb) {
@@ -144,7 +144,7 @@ void AuthService::on_batch(std::vector<PendingReport>&& batch,
   scratch.reports.resize(batch.size());
   scratch.predictions.resize(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i)
-    scratch.reports[i] = std::move(batch[i].report);
+    scratch.reports[i] = std::move(batch[i].codes);
 
   // Const forward through this lane's leased InferenceContext; lanes run
   // concurrently against the one immutable SharedModel.
@@ -156,7 +156,7 @@ void AuthService::on_batch(std::vector<PendingReport>&& batch,
     // The report payload was moved into scratch for classification; hand
     // it back so the shadow hook (and nobody else — batch dies here) can
     // see the full report without a copy on the primary path.
-    batch[i].report = std::move(scratch.reports[i]);
+    batch[i].codes = std::move(scratch.reports[i]);
     const SessionTable::RecordResult r = sessions_.record(
         batch[i].station, scratch.predictions[i], batch[i].timestamp_s);
     if (r.changed && verdict_cb_) verdict_cb_(r.verdict);
@@ -237,21 +237,25 @@ StatsSnapshot AuthService::stats() const {
   s.watchdog_stall_s =
       std::chrono::duration<double>(cfg_.watchdog_stall).count();
   s.process_rss_bytes = common::process_rss_bytes();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  s.reports_classified = reports_classified_;
-  if (started_) {
-    const auto end =
-        drained_ ? drained_at_ : std::chrono::steady_clock::now();
-    s.wall_seconds = std::chrono::duration<double>(end - started_at_).count();
-    if (s.wall_seconds > 0.0)
-      s.throughput_rps =
-          static_cast<double>(reports_classified_) / s.wall_seconds;
+  std::vector<double> latencies;
+  {
+    // Lanes take this lock after every batch: copy the ring under it and
+    // select percentiles after releasing it.
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    s.reports_classified = reports_classified_;
+    if (started_) {
+      const auto end =
+          drained_ ? drained_at_ : std::chrono::steady_clock::now();
+      s.wall_seconds = std::chrono::duration<double>(end - started_at_).count();
+      if (s.wall_seconds > 0.0)
+        s.throughput_rps =
+            static_cast<double>(reports_classified_) / s.wall_seconds;
+    }
+    latencies = batch_latency_ms_;
+    s.batch_latency_max_ms = batch_latency_max_ms_;
   }
-  std::vector<double> sorted = batch_latency_ms_;
-  std::sort(sorted.begin(), sorted.end());
-  s.batch_latency_p50_ms = percentile_ms(sorted, 0.50);
-  s.batch_latency_p99_ms = percentile_ms(sorted, 0.99);
-  s.batch_latency_max_ms = batch_latency_max_ms_;
+  s.batch_latency_p50_ms = percentile_ms(latencies, 0.50);
+  s.batch_latency_p99_ms = percentile_ms(latencies, 0.99);
   return s;
 }
 

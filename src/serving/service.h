@@ -54,11 +54,13 @@ struct ServiceConfig {
   std::chrono::milliseconds watchdog_stall{2000};
 };
 
-// One report waiting for the classifier.
+// One report waiting for the classifier, in the flat form: the producer
+// thread flattens (and frees) the nested report in submit/try_submit, so
+// a queued report is one heap block that the lane thread frees.
 struct PendingReport {
   capture::MacAddress station;
   double timestamp_s = 0.0;
-  feedback::CompressedFeedbackReport report;
+  feedback::AngleCodes codes;
   std::chrono::steady_clock::time_point enqueued_at{};
 };
 
@@ -84,11 +86,11 @@ class AuthService {
               feedback::CompressedFeedbackReport report);
 
   // Non-blocking producer entry for the network ingest path (which must
-  // never park the event-loop thread). Consumes `obs` only on kAccepted;
-  // kWouldBlock (kBlock policy, lane queue full) leaves it intact so the
-  // caller can hold the report and retry — the ingest server turns that
-  // into a paused connection (EPOLLIN off, TCP flow control).
-  common::PushStatus try_submit(capture::ObservedFeedback& obs);
+  // never park the event-loop thread). Never modifies `obs`: after
+  // kWouldBlock (kBlock policy, lane queue full) the caller can hold the
+  // report and retry — the ingest server turns that into a paused
+  // connection (EPOLLIN off, TCP flow control).
+  common::PushStatus try_submit(const capture::ObservedFeedback& obs);
 
   // Streams every verdict transition (majority module changed, or first
   // report of a station) to `cb`, invoked from lane threads under no
@@ -99,7 +101,7 @@ class AuthService {
   void set_verdict_callback(VerdictCallback cb);
 
   // Observes EVERY classified report (not just verdict transitions):
-  // station, timestamp, the report payload and the primary model's
+  // station, timestamp, the flat report and the primary model's
   // prediction. Invoked from lane threads under no service lock, after
   // the prediction is folded into the SessionTable — the hook the shadow
   // scorer taps to mirror a sampled slice of the live stream onto a
@@ -161,7 +163,7 @@ class AuthService {
   // Lane-thread scratch, reused across batches so a flush moves payloads
   // and reuses prediction storage instead of allocating.
   struct LaneScratch {
-    std::vector<feedback::CompressedFeedbackReport> reports;
+    std::vector<feedback::AngleCodes> reports;
     std::vector<core::Authenticator::Prediction> predictions;
   };
   std::vector<LaneScratch> lane_scratch_;

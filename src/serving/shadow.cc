@@ -21,7 +21,7 @@ void ShadowScorer::observe(const PendingReport& report,
   const std::uint64_t n = seen_.fetch_add(1, std::memory_order_relaxed);
   if (n % cfg_.sample_every != 0) return;
   Sampled s;
-  s.report = report;  // copy: the primary path keeps its own payload
+  s.report = report;  // one-block copy: the primary path keeps its own
   s.primary = primary;
   // kDropOldest: a slow scorer sheds its own backlog, never the caller.
   queue_.push(std::move(s));
@@ -31,7 +31,7 @@ void ShadowScorer::run() {
   Sampled s;
   while (queue_.pop(s)) {
     const core::Authenticator::Prediction shadow =
-        candidate_.classify(s.report.report);
+        candidate_.classify(s.report.codes);
     std::lock_guard<std::mutex> lock(mu_);
     ++sampled_;
     confidence_delta_sum_ += shadow.confidence - s.primary.confidence;

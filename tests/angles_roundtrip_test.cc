@@ -145,19 +145,6 @@ TEST(RotationKernelTest, ReconstructIntoReusesScratchAcrossGeometries) {
   }
 }
 
-TEST(RotationKernelTest, DequantizeIntoMatchesDequantize) {
-  std::mt19937_64 rng(78);
-  const auto cfg = mu_mimo_codebook_high();
-  BfmAngles reused;
-  for (int trial = 0; trial < 10; ++trial) {
-    const QuantizedAngles q = quantize(decompose_v(random_v(3, 2, rng)), cfg);
-    dequantize_into(q, cfg, &reused);
-    const BfmAngles fresh = dequantize(q, cfg);
-    ASSERT_EQ(reused.phi, fresh.phi);
-    ASSERT_EQ(reused.psi, fresh.psi);
-  }
-}
-
 // The CMat rotation primitives against the explicit matrices they model.
 TEST(CMatRotationPrimitivesTest, MatchExplicitMatrixProducts) {
   std::mt19937_64 rng(79);

@@ -43,6 +43,47 @@ TEST(BitWriterReaderTest, RandomizedRoundTrip) {
   }
 }
 
+// The reader loads at most three bytes per field; check it against a
+// bit-at-a-time reference on random buffers, including fields that end
+// exactly on the last byte and a read one bit past it.
+TEST(BitReaderTest, MatchesBitByBitReference) {
+  const auto reference = [](const std::vector<std::uint8_t>& bytes,
+                            std::size_t at, int bits) {
+    std::uint32_t out = 0;
+    for (int i = 0; i < bits; ++i) {
+      const std::size_t bit = at + static_cast<std::size_t>(i);
+      out |= static_cast<std::uint32_t>((bytes[bit / 8] >> (bit % 8)) & 1u)
+             << i;
+    }
+    return out;
+  };
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint8_t> bytes(1 + rng() % 12);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    const std::size_t total = bytes.size() * 8;
+    BitReader r(bytes);
+    std::size_t at = 0;
+    while (at < total) {
+      int bits = 1 + static_cast<int>(rng() % 16);
+      // Every other trial lands its last field exactly on the final bit.
+      if (trial % 2 == 0 && at + static_cast<std::size_t>(bits) > total)
+        bits = static_cast<int>(total - at);
+      if (at + static_cast<std::size_t>(bits) > total) {
+        EXPECT_THROW(r.read(bits), std::out_of_range);
+        break;
+      }
+      ASSERT_EQ(r.read(bits), reference(bytes, at, bits))
+          << "trial " << trial << " at bit " << at << " width " << bits;
+      at += static_cast<std::size_t>(bits);
+      EXPECT_EQ(r.bits_read(), at);
+    }
+    if (at == total) {
+      EXPECT_THROW(r.read(1), std::out_of_range);
+    }
+  }
+}
+
 TEST(BitWriterTest, RejectsOversizedValues) {
   BitWriter w;
   EXPECT_THROW(w.write(8, 3), std::logic_error);

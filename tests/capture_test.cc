@@ -8,6 +8,7 @@
 #include "capture/monitor.h"
 #include "capture/pcap.h"
 #include "capture/vht_frame.h"
+#include "common/crc32.h"
 #include "linalg/svd.h"
 #include "phy/ofdm.h"
 
@@ -36,7 +37,7 @@ TEST(Crc32Test, KnownVector) {
   // CRC-32 of "123456789" is the classic check value 0xCBF43926.
   const std::vector<std::uint8_t> data{'1', '2', '3', '4', '5',
                                        '6', '7', '8', '9'};
-  EXPECT_EQ(crc32(data), 0xCBF43926u);
+  EXPECT_EQ(common::crc32(data.data(), data.size()), 0xCBF43926u);
 }
 
 TEST(VhtMimoControlTest, PackUnpackAllFields) {

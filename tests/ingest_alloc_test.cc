@@ -1,9 +1,11 @@
 // The acceptance gate for the allocation-free ingest path: once its
 // per-thread scratch is warm, fill_features must not touch the heap at
 // all, and the parallel feature extraction / shuffle must stay
-// bit-identical for any DEEPCSI_THREADS. The global operator new/delete
-// replacements below count every allocation in this binary, so the test
-// literally measures zero.
+// bit-identical for any DEEPCSI_THREADS. Past the producer, a report is
+// one flat heap block: submit costs a constant number of allocations
+// whatever the sub-carrier count, and a warm flat classify costs none.
+// The global operator new/delete replacements below count every
+// allocation in this binary, so the test literally measures them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,8 +14,11 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/model.h"
+#include "core/pipeline.h"
 #include "dataset/features.h"
 #include "dataset/traces.h"
+#include "serving/service.h"
 #include "test_util.h"
 
 namespace {
@@ -121,6 +126,73 @@ TEST(IngestAllocTest, LabeledSetAndShuffleBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(s1.y, s4.y);
   for (std::size_t i = 0; i < s1.x.numel(); ++i)
     ASSERT_EQ(s1.x[i], s4.x[i]) << i;
+}
+
+core::Authenticator quick_authenticator(const InputSpec& spec) {
+  return core::Authenticator(
+      core::build_deepcsi_model(num_input_channels(spec),
+                                static_cast<int>(num_input_columns(spec)),
+                                phy::kNumModules, core::quick_model_config()),
+      spec);
+}
+
+// Heap allocations spent submitting `n` copies of `report` (keeping its
+// first `num_subcarriers` sub-carriers) to a service whose lanes are not
+// running, so every report stays queued.
+std::size_t submit_allocations(const feedback::CompressedFeedbackReport& full,
+                               std::size_t num_subcarriers, std::size_t n) {
+  feedback::CompressedFeedbackReport report = full;
+  report.subcarriers.resize(num_subcarriers);
+  report.per_subcarrier.resize(num_subcarriers);
+  std::vector<capture::ObservedFeedback> observed(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    observed[i].beamformee = capture::MacAddress::for_station(1);
+    observed[i].timestamp_s = 0.01 * static_cast<double>(i);
+    observed[i].report = report;
+  }
+  InputSpec spec;
+  spec.subcarrier_stride = 4;
+  const core::Authenticator auth = quick_authenticator(spec);
+  serving::ServiceConfig cfg;
+  cfg.queue_capacity = n;
+  serving::AuthService service(auth, cfg);
+
+  const std::size_t before = g_alloc_count.load();
+  for (const capture::ObservedFeedback& obs : observed)
+    EXPECT_TRUE(service.submit(obs));
+  return g_alloc_count.load() - before;
+}
+
+TEST(IngestAllocTest, SubmitCostsConstantAllocationsPerReport) {
+  const Trace trace = test_trace(3);
+  const feedback::CompressedFeedbackReport& report = trace.snapshots[0].report;
+  ASSERT_EQ(report.per_subcarrier.size(), 234u);
+  constexpr std::size_t kReports = 200;
+  const std::size_t at_54 = submit_allocations(report, 54, kReports);
+  const std::size_t at_234 = submit_allocations(report, 234, kReports);
+  // One block for the flat codes plus the queue's amortised growth.
+  EXPECT_LE(at_54, 2 * kReports);
+  EXPECT_EQ(at_54, at_234) << "submit cost depends on the sub-carrier count";
+}
+
+TEST(IngestAllocTest, WarmFlatClassifyIsAllocationFree) {
+  // Feature scratch is per thread, and which pool worker runs a chunk is
+  // up to the pool; one thread makes "warm" a single call.
+  ThreadGuard guard;
+  common::set_num_threads(1);
+  InputSpec spec;
+  spec.subcarrier_stride = 4;
+  const core::Authenticator auth = quick_authenticator(spec);
+  const Trace trace = test_trace(4);
+  std::vector<feedback::AngleCodes> batch;
+  for (const Snapshot& s : trace.snapshots) batch.emplace_back(s.report);
+  std::vector<core::Authenticator::Prediction> preds(batch.size());
+  auth.classify_batch_into(batch, preds);  // warm: context, scratch, tables
+
+  const std::size_t before = g_alloc_count.load();
+  for (int rep = 0; rep < 20; ++rep) auth.classify_batch_into(batch, preds);
+  EXPECT_EQ(g_alloc_count.load() - before, 0u)
+      << "flat classify allocated in steady state";
 }
 
 }  // namespace

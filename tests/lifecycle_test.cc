@@ -256,7 +256,7 @@ serving::PendingReport pending(int station,
   serving::PendingReport p;
   p.station = capture::MacAddress::for_station(station);
   p.timestamp_s = t;
-  p.report = r;
+  p.codes = feedback::AngleCodes(r);
   return p;
 }
 
@@ -288,7 +288,9 @@ TEST(LifecycleTest, ShadowScorerCountsDivergenceAndPromotes) {
 
   // The candidate is deterministic, so feeding ITS OWN prediction as the
   // "primary" verdict controls divergence exactly: agree on stations
-  // 0..3, force disagreement on stations 4..5.
+  // 0..3, force disagreement on stations 4..5. The primary comes from the
+  // nested report and the scorer classifies the flat one, so agreement
+  // also checks the two forms predict identically.
   int fed = 0;
   for (int station = 0; station < 6; ++station) {
     for (int k = 0; k < 2; ++k) {
