@@ -283,10 +283,6 @@ void Authenticator::save(const std::string& path) const {
   nn::save_weights(pin_epoch()->model.graph(), path);
 }
 
-void Authenticator::load(const std::string& path) {
-  nn::load_weights(pin_epoch()->model.mutable_graph(), path);
-}
-
 Authenticator::SwapResult Authenticator::swap_model(const std::string& path) {
   SwapResult r;
   const auto rolled_back = [&](SwapStatus status, std::string why) {

@@ -98,9 +98,9 @@ ModelLoadStatus load_model_artifact(
 // exchange. In-flight classify calls finish on the epoch they pinned,
 // which retires when its last lease drops — a swap never blocks serving
 // and serving never blocks a swap. The only non-const entry points are
-// model(), load() and the int8 calibration hooks, which mutate the
-// CURRENT epoch's weights for the train/eval path and must not race a
-// concurrent classify (swap_model, by contrast, is safe to race).
+// model() and the int8 calibration hooks, which mutate the CURRENT
+// epoch's weights for the train/eval path and must not race a concurrent
+// classify (swap_model, by contrast, is safe to race).
 class Authenticator {
  public:
   // Contexts are planned for batches up to this size; larger classify
@@ -148,10 +148,8 @@ class Authenticator {
   // NOT thread-safe, and must not race concurrent classify calls.
   nn::Sequential& model();
 
+  // Writes the weights file only; load it back with load_model_artifact.
   void save(const std::string& path) const;
-  // The caller must construct the Authenticator with the same architecture
-  // before loading (shape mismatches throw).
-  void load(const std::string& path);
 
   // ------------------------------------------------- RCU hot swap
   //
@@ -163,7 +161,7 @@ class Authenticator {
   // refusal, spec mismatch, injected "model.load"/"model.swap" failpoint
   // — leaves the incumbent epoch serving untouched ("rolled back") and
   // is counted in swaps_rolled_back(). Thread-safe, including against
-  // itself and against classify; NOT against model()/load()/calibrate.
+  // itself and against classify; NOT against model()/calibrate.
   enum class SwapStatus {
     kSwapped,       // new epoch published
     kLoadError,     // artifact unreadable (ModelLoadStatus::kIoError)
@@ -186,8 +184,8 @@ class Authenticator {
 
   // INT8 calibration (nn/quantize.h). Both attach quantized weights to
   // the Conv2d/Dense layers and rebuild the context pool so new leases
-  // plan the int8 arena slices. NOT thread-safe — like model()/load(),
-  // run before serving starts or after it drains.
+  // plan the int8 arena slices. NOT thread-safe — like model(), run
+  // before serving starts or after it drains.
   //
   // Measure activation ranges on `samples` ([N, C, 1, W] feature
   // tensors, normally the training set) and apply them; returns the

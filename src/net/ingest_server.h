@@ -43,6 +43,7 @@
 #include "common/report_queue.h"
 #include "net/event_loop.h"
 #include "net/protocol.h"
+#include "net/stats.h"
 
 namespace deepcsi::net {
 
@@ -57,19 +58,6 @@ struct IngestConfig {
   // NEW work first. Called on the loop thread; must be cheap and must
   // not block.
   std::function<bool()> accept_gate;
-};
-
-struct IngestStats {
-  std::uint64_t conns_accepted = 0;
-  std::uint64_t conns_rejected = 0;   // over max_conns, closed on accept
-  std::uint64_t conns_shed = 0;       // refused by the accept_gate
-  std::uint64_t conns_open = 0;
-  std::uint64_t frames = 0;           // complete frames reassembled
-  std::uint64_t reports_submitted = 0;
-  std::uint64_t reports_dropped = 0;  // submit() -> kRejected
-  std::uint64_t malformed_payloads = 0;  // well-framed but undecodable
-  std::uint64_t protocol_errors = 0;     // framing poisoned -> conn closed
-  std::uint64_t pauses = 0;              // EPOLLIN toggled off (backpressure)
 };
 
 class TcpIngestServer {

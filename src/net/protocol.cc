@@ -192,47 +192,6 @@ std::optional<VerdictMsg> decode_verdict(
   return msg;
 }
 
-std::vector<std::uint8_t> encode_stats_frame(const StatsMsg& msg) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, msg.reports_classified);
-  put_u64(payload, msg.dropped_oldest);
-  put_u64(payload, msg.rejected);
-  put_f64(payload, msg.throughput_rps);
-  put_f64(payload, msg.batch_latency_p99_ms);
-  put_u64(payload, msg.stations);
-  put_u64(payload, msg.evicted_ttl);
-  put_u64(payload, msg.evicted_lru);
-  put_u64(payload, msg.session_bytes);
-  put_u64(payload, msg.epoch);
-  put_u64(payload, msg.swaps_completed);
-  put_u64(payload, msg.swaps_rolled_back);
-  put_u64(payload, msg.stations_drifting);
-  return encode_frame(FrameType::kStats, payload);
-}
-
-std::optional<StatsMsg> decode_stats(std::span<const std::uint8_t> payload) {
-  ByteReader in(payload);
-  StatsMsg msg;
-  if (!in.u64(msg.reports_classified) || !in.u64(msg.dropped_oldest) ||
-      !in.u64(msg.rejected) || !in.f64(msg.throughput_rps) ||
-      !in.f64(msg.batch_latency_p99_ms))
-    return std::nullopt;
-  // Session/eviction counters: appended after v1 shipped. A short (old)
-  // payload is legal and leaves them zero; a partial trailer is not.
-  if (in.remaining() > 0 &&
-      (!in.u64(msg.stations) || !in.u64(msg.evicted_ttl) ||
-       !in.u64(msg.evicted_lru) || !in.u64(msg.session_bytes)))
-    return std::nullopt;
-  // Model-lifecycle counters: the next appended group, same contract —
-  // absent entirely (older sender) or fully present.
-  if (in.remaining() > 0 &&
-      (!in.u64(msg.epoch) || !in.u64(msg.swaps_completed) ||
-       !in.u64(msg.swaps_rolled_back) || !in.u64(msg.stations_drifting)))
-    return std::nullopt;
-  if (!in.done()) return std::nullopt;
-  return msg;
-}
-
 // ---------------------------------------------------------- reassembly
 
 void FrameAssembler::append(const std::uint8_t* data, std::size_t n) {

@@ -21,7 +21,10 @@
 //     (feedback::pack_report bytes).
 //   kVerdictUpdate (server -> subscriber): one station's current rolling
 //     verdict (module, votes, window, confidence).
-//   kStats (server -> subscriber): end-of-run service counters.
+//   kStats (server -> subscriber): the end-of-run serving::StatsSnapshot,
+//     its payload the UTF-8 bytes of StatsSnapshot::render_json() — a
+//     versioned JSON object whose readers skip unknown keys, so the
+//     frame needs no codec of its own.
 //
 // Malformed input is a result, never a crash: decoders return
 // std::nullopt and the FrameAssembler reports a typed error for bad
@@ -123,34 +126,6 @@ struct VerdictMsg {
 };
 std::vector<std::uint8_t> encode_verdict_frame(const VerdictMsg& msg);
 std::optional<VerdictMsg> decode_verdict(std::span<const std::uint8_t> payload);
-
-// End-of-run service counters (payload layout, all LE):
-//   u64 reports_classified, u64 dropped_oldest, u64 rejected,
-//   f64 throughput_rps, f64 batch_latency_p99_ms,
-//   u64 stations, u64 evicted_ttl, u64 evicted_lru, u64 session_bytes
-// The four session/eviction counters were appended later; the decoder
-// accepts the original short payload (they read as 0), so an old driver
-// frame still parses and a new driver tolerates an old server.
-struct StatsMsg {
-  std::uint64_t reports_classified = 0;
-  std::uint64_t dropped_oldest = 0;
-  std::uint64_t rejected = 0;
-  double throughput_rps = 0.0;
-  double batch_latency_p99_ms = 0.0;
-  std::uint64_t stations = 0;       // live sessions at end of run
-  std::uint64_t evicted_ttl = 0;    // sessions dropped by TTL expiry
-  std::uint64_t evicted_lru = 0;    // sessions dropped by the entry ceiling
-  std::uint64_t session_bytes = 0;  // approximate session-table footprint
-  // Model-lifecycle block, appended after the session counters shipped.
-  // Decoders tolerate its absence (old peers leave all four zero).
-  std::uint64_t epoch = 0;              // serving epoch (1 = never swapped)
-  std::uint64_t swaps_completed = 0;    // successful hot swaps
-  std::uint64_t swaps_rolled_back = 0;  // refused swaps (load/spec/inject)
-  std::uint64_t stations_drifting = 0;  // sessions under the drift EWMA bar
-  bool operator==(const StatsMsg&) const = default;
-};
-std::vector<std::uint8_t> encode_stats_frame(const StatsMsg& msg);
-std::optional<StatsMsg> decode_stats(std::span<const std::uint8_t> payload);
 
 // ---------------------------------------------------------- reassembly
 

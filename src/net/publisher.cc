@@ -33,8 +33,11 @@ void VerdictPublisher::publish(const VerdictMsg& msg) {
   publish_frame(encode_verdict_frame(msg));
 }
 
-void VerdictPublisher::publish_stats(const StatsMsg& msg) {
-  publish_frame(encode_stats_frame(msg));
+void VerdictPublisher::publish_stats(std::string_view json) {
+  publish_frame(encode_frame(
+      FrameType::kStats,
+      std::span(reinterpret_cast<const std::uint8_t*>(json.data()),
+                json.size())));
 }
 
 void VerdictPublisher::publish_frame(const std::vector<std::uint8_t>& frame) {

@@ -20,12 +20,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "net/event_loop.h"
 #include "net/protocol.h"
+#include "net/stats.h"
 
 namespace deepcsi::net {
 
@@ -37,16 +39,6 @@ struct PublisherConfig {
   // 0 = kernel default. Tests shrink this to force EAGAIN partial writes
   // deterministically; production leaves it alone.
   int sndbuf_bytes = 0;
-};
-
-struct PublisherStats {
-  std::uint64_t subscribers_accepted = 0;
-  std::uint64_t subscribers_rejected = 0;  // over max_conns
-  std::uint64_t subscribers_open = 0;
-  std::uint64_t frames_published = 0;   // publish() calls
-  std::uint64_t frames_dropped = 0;     // per-subscriber slow-reader drops
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t partial_writes = 0;     // sends that left a remainder
 };
 
 class VerdictPublisher {
@@ -63,7 +55,8 @@ class VerdictPublisher {
   // Thread-safe; non-blocking (a slow subscriber drops, never stalls the
   // serving pipeline).
   void publish(const VerdictMsg& msg);
-  void publish_stats(const StatsMsg& msg);
+  // A kStats frame whose payload is `json` (StatsSnapshot::render_json()).
+  void publish_stats(std::string_view json);
 
   std::size_t subscriber_count() const;
 

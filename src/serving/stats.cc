@@ -31,16 +31,16 @@ std::string StatsSnapshot::render_text() const {
   std::string out;
   appendf(out,
           "--- serve stats ------------------------------------------\n");
-  if (ingest.present) {
+  if (ingest) {
     appendf(out,
             "ingest       %llu conn(s) (%llu refused, %llu shed), %llu "
             "frames, %llu submitted, %llu dropped, %llu malformed, %llu "
             "protocol errors, %llu pauses\n",
-            ull(ingest.conns_accepted), ull(ingest.conns_rejected),
-            ull(ingest.conns_shed), ull(ingest.frames),
-            ull(ingest.reports_submitted), ull(ingest.reports_dropped),
-            ull(ingest.malformed_payloads), ull(ingest.protocol_errors),
-            ull(ingest.pauses));
+            ull(ingest->conns_accepted), ull(ingest->conns_rejected),
+            ull(ingest->conns_shed), ull(ingest->frames),
+            ull(ingest->reports_submitted), ull(ingest->reports_dropped),
+            ull(ingest->malformed_payloads), ull(ingest->protocol_errors),
+            ull(ingest->pauses));
   }
   if (reports_offered > 0) {
     appendf(out,
@@ -125,12 +125,12 @@ std::string StatsSnapshot::render_text() const {
               l.queue.dropped_oldest, l.queue.rejected);
     }
   }
-  if (publish.present) {
+  if (publish) {
     appendf(out,
             "publish      %llu subscriber(s), %llu frames, %llu "
             "slow-subscriber drops, %llu bytes\n",
-            ull(publish.subscribers_accepted), ull(publish.frames_published),
-            ull(publish.frames_dropped), ull(publish.bytes_sent));
+            ull(publish->subscribers_accepted), ull(publish->frames_published),
+            ull(publish->frames_dropped), ull(publish->bytes_sent));
   }
   appendf(out,
           "----------------------------------------------------------\n");
@@ -190,25 +190,25 @@ std::string StatsSnapshot::render_json() const {
             l.stalled ? "true" : "false", l.since_progress_s);
   }
   appendf(out, "]");
-  if (ingest.present) {
+  if (ingest) {
     appendf(out,
             ",\"ingest\":{\"conns_accepted\":%llu,\"conns_rejected\":%llu,"
             "\"conns_shed\":%llu,\"frames\":%llu,\"reports_submitted\":%llu,"
             "\"reports_dropped\":%llu,\"malformed_payloads\":%llu,"
             "\"protocol_errors\":%llu,\"pauses\":%llu}",
-            ull(ingest.conns_accepted), ull(ingest.conns_rejected),
-            ull(ingest.conns_shed), ull(ingest.frames),
-            ull(ingest.reports_submitted), ull(ingest.reports_dropped),
-            ull(ingest.malformed_payloads), ull(ingest.protocol_errors),
-            ull(ingest.pauses));
+            ull(ingest->conns_accepted), ull(ingest->conns_rejected),
+            ull(ingest->conns_shed), ull(ingest->frames),
+            ull(ingest->reports_submitted), ull(ingest->reports_dropped),
+            ull(ingest->malformed_payloads), ull(ingest->protocol_errors),
+            ull(ingest->pauses));
   }
-  if (publish.present) {
+  if (publish) {
     appendf(out,
             ",\"publish\":{\"subscribers_accepted\":%llu,"
             "\"frames_published\":%llu,\"frames_dropped\":%llu,"
             "\"bytes_sent\":%llu}",
-            ull(publish.subscribers_accepted), ull(publish.frames_published),
-            ull(publish.frames_dropped), ull(publish.bytes_sent));
+            ull(publish->subscribers_accepted), ull(publish->frames_published),
+            ull(publish->frames_dropped), ull(publish->bytes_sent));
   }
   if (shadow.present) {
     appendf(out,

@@ -4,11 +4,14 @@
 // StatsSnapshot, with one renderer for the human-facing `serve` end-of-run
 // block and one for machine-readable JSON.
 //
-// Before this existed the same numbers lived in four ad-hoc structs
-// (ServiceStats / LaneStats / QueueStats aggregation / hand-rolled printf
-// of IngestStats) and every consumer — CLI, benches, the stats wire frame
-// — stitched its own subset together. New counters (eviction, occupancy,
-// RSS) land HERE, once, and every consumer sees them.
+// It is the only stats schema, from the socket counters to the wire: the
+// network front ends' own counter structs (net/stats.h) are held as they
+// are, and the kStats frame a `serve --publish` run ends with carries
+// render_json() as its payload. Earlier the same numbers lived in ad-hoc
+// structs, hand-copied mirrors and a 13-field binary wire subset with a
+// codec of its own, each consumer stitching its own view together. New
+// counters (eviction, occupancy, RSS) land HERE, once, and every consumer
+// — the end-of-run block, --stats-json and the stats frame — sees them.
 //
 // kVersion gates the JSON schema: any field removal or meaning change
 // bumps it, additions do not (readers must tolerate unknown keys).
@@ -16,10 +19,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/report_queue.h"
+#include "net/stats.h"
 #include "serving/scheduler.h"
 #include "serving/session_table.h"
 
@@ -89,30 +94,10 @@ struct StatsSnapshot {
   std::size_t reports_accepted = 0;
 
   // ------------------------------------------------ network front ends
-  // Copied in by the owner of the sockets (the CLI glue) — serving does
-  // not depend on net, so these are plain mirrored counters with a
-  // present flag, not net:: types.
-  struct Ingest {
-    bool present = false;
-    std::uint64_t conns_accepted = 0;
-    std::uint64_t conns_rejected = 0;
-    std::uint64_t conns_shed = 0;
-    std::uint64_t frames = 0;
-    std::uint64_t reports_submitted = 0;
-    std::uint64_t reports_dropped = 0;
-    std::uint64_t malformed_payloads = 0;
-    std::uint64_t protocol_errors = 0;
-    std::uint64_t pauses = 0;
-  };
-  Ingest ingest;
-  struct Publish {
-    bool present = false;
-    std::uint64_t subscribers_accepted = 0;
-    std::uint64_t frames_published = 0;
-    std::uint64_t frames_dropped = 0;
-    std::uint64_t bytes_sent = 0;
-  };
-  Publish publish;
+  // Set by the owner of the sockets (the CLI glue) to the front ends' own
+  // counters; absent when the run has no network front end.
+  std::optional<net::IngestStats> ingest;
+  std::optional<net::PublisherStats> publish;
 
   // ------------------------------------------------ process
   std::size_t process_rss_bytes = 0;  // 0 when the platform can't say

@@ -222,7 +222,7 @@ TEST(ChaosTest, LosslessStormPreservesVerdictParityEndToEnd) {
     m.last_timestamp_s = v.last_timestamp_s;
     pub.publish(m);
   }
-  pub.publish_stats({});
+  pub.publish_stats(service.stats().render_json());
   pub.stop(30000ms);
 
   // The storm actually happened...

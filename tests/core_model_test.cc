@@ -193,20 +193,26 @@ TEST(AuthenticatorTest, SaveLoadPreservesPredictions) {
   dataset::SplitSets split{train, train};
   Authenticator a1 = train_authenticator(split, spec, cfg);
 
+  // The artifact as `train` writes it, read back through the one load
+  // path; the arch knobs .meta does not record come from the fallback.
   const std::string path = ::testing::TempDir() + "/auth_weights.bin";
   a1.save(path);
-
-  nn::Sequential fresh = build_deepcsi_model(
-      dataset::num_input_channels(spec),
-      static_cast<int>(dataset::num_input_columns(spec)), 10, cfg.model);
-  Authenticator a2(std::move(fresh), spec);
-  a2.load(path);
+  save_model_meta(path, {{"filters", cfg.model.filters},
+                         {"stride", spec.subcarrier_stride},
+                         {"classes", train.num_classes}});
+  LoadedModel lm;
+  std::string err;
+  ASSERT_EQ(load_model_artifact(path, spec, cfg.model, &lm, &err),
+            ModelLoadStatus::kOk)
+      << err;
+  Authenticator a2(std::move(*lm.model), lm.spec);
 
   const auto p1 = a1.classify(traces[0].snapshots[0].report);
   const auto p2 = a2.classify(traces[0].snapshots[0].report);
   EXPECT_EQ(p1.module_id, p2.module_id);
   EXPECT_NEAR(p1.confidence, p2.confidence, 1e-6);
   std::remove(path.c_str());
+  std::remove((path + ".meta").c_str());
 }
 
 TEST(ExperimentConfigTest, ScaleVariantsDiffer) {

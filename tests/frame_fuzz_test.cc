@@ -9,12 +9,14 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "capture/monitor.h"
 #include "common/hash.h"
 #include "dataset/traces.h"
 #include "net/protocol.h"
+#include "serving/stats.h"
 
 namespace deepcsi {
 namespace {
@@ -77,7 +79,11 @@ std::vector<std::uint8_t> build_stream(
         break;
       }
       case 1: {
-        const auto f = net::encode_stats_frame({});
+        const std::string json = serving::StatsSnapshot{}.render_json();
+        const auto f = net::encode_frame(
+            net::FrameType::kStats,
+            std::span(reinterpret_cast<const std::uint8_t*>(json.data()),
+                      json.size()));
         stream.insert(stream.end(), f.begin(), f.end());
         break;
       }

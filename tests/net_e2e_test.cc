@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -329,7 +330,10 @@ TEST(NetE2ETest, LoopbackVerdictsMatchTheOfflinePipelineExactly) {
     m.last_timestamp_s = v.last_timestamp_s;
     pub.publish(m);
   }
-  pub.publish_stats({});
+  serving::StatsSnapshot stats = service.stats();
+  stats.ingest = ingest.stats();
+  const std::string stats_json = stats.render_json();
+  pub.publish_stats(stats_json);
   pub.stop(30000ms);
 
   // The server-side table must equal the offline run field for field —
@@ -348,7 +352,7 @@ TEST(NetE2ETest, LoopbackVerdictsMatchTheOfflinePipelineExactly) {
   // And what the subscriber RECEIVED (last update per station wins — the
   // final snapshot) must match too, bit for bit on the doubles.
   std::map<capture::MacAddress, net::VerdictMsg> received;
-  bool saw_stats = false;
+  std::optional<std::string> received_stats;
   while (auto frame = subscriber.next_frame()) {
     const std::span<const std::uint8_t> payload(frame->payload.data(),
                                                 frame->payload.size());
@@ -359,10 +363,11 @@ TEST(NetE2ETest, LoopbackVerdictsMatchTheOfflinePipelineExactly) {
       received[v->station] = *v;
     } else if (frame->type ==
                static_cast<std::uint8_t>(net::FrameType::kStats)) {
-      saw_stats = true;
+      received_stats.emplace(frame->payload.begin(), frame->payload.end());
     }
   }
-  EXPECT_TRUE(saw_stats);
+  // The stats frame carries the snapshot's JSON byte for byte.
+  EXPECT_EQ(received_stats, stats_json);
   ASSERT_EQ(received.size(), offline.size());
   std::size_t i = 0;
   for (const auto& [mac, v] : received) {  // std::map sorts by MAC like snapshot()

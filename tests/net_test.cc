@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <netinet/in.h>
 #include <span>
+#include <string>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include "net/protocol.h"
 #include "net/publisher.h"
 #include "net/socket.h"
+#include "serving/stats.h"
 
 namespace deepcsi {
 namespace {
@@ -96,20 +98,22 @@ TEST(NetProtocolTest, VerdictAndStatsFramesRoundTrip) {
   ASSERT_TRUE(dv.has_value());
   EXPECT_EQ(*dv, v);
 
-  net::StatsMsg s;
-  s.reports_classified = 1000;
-  s.dropped_oldest = 3;
-  s.rejected = 7;
-  s.throughput_rps = 1234.5;
-  s.batch_latency_p99_ms = 0.75;
-  const auto sframe = net::encode_stats_frame(s);
+  // A kStats frame carries a StatsSnapshot JSON object verbatim.
+  serving::StatsSnapshot snap;
+  snap.reports_classified = 1000;
+  snap.queue.dropped_oldest = 3;
+  snap.queue.rejected = 7;
+  snap.throughput_rps = 1234.5;
+  snap.batch_latency_p99_ms = 0.75;
+  const std::string json = snap.render_json();
+  const auto sframe = net::encode_frame(
+      FrameType::kStats,
+      std::span(reinterpret_cast<const std::uint8_t*>(json.data()),
+                json.size()));
   asm_.append(sframe.data(), sframe.size());
   ASSERT_TRUE(asm_.next(out));
   EXPECT_EQ(out.type, static_cast<std::uint8_t>(FrameType::kStats));
-  const auto ds = net::decode_stats(
-      std::span<const std::uint8_t>(out.payload.data(), out.payload.size()));
-  ASSERT_TRUE(ds.has_value());
-  EXPECT_EQ(*ds, s);
+  EXPECT_EQ(std::string(out.payload.begin(), out.payload.end()), json);
 }
 
 // --------------------------------------------------------------- reassembly
@@ -246,7 +250,7 @@ TEST(NetProtocolTest, DecodeReportRejectsCorruptPayloads) {
   }
 }
 
-TEST(NetProtocolTest, DecodeVerdictAndStatsRejectWrongSizes) {
+TEST(NetProtocolTest, DecodeVerdictRejectsWrongSizes) {
   const auto vframe = net::encode_verdict_frame(net::VerdictMsg{});
   std::vector<std::uint8_t> vpayload(vframe.begin() + net::kHeaderBytes,
                                      vframe.end());
@@ -255,13 +259,11 @@ TEST(NetProtocolTest, DecodeVerdictAndStatsRejectWrongSizes) {
                    std::span<const std::uint8_t>(vpayload.data(),
                                                  vpayload.size()))
                    .has_value());
-  const auto sframe = net::encode_stats_frame(net::StatsMsg{});
-  std::vector<std::uint8_t> spayload(sframe.begin() + net::kHeaderBytes,
-                                     sframe.end());
-  spayload.push_back(0);
-  EXPECT_FALSE(net::decode_stats(
-                   std::span<const std::uint8_t>(spayload.data(),
-                                                 spayload.size()))
+  vpayload.push_back(0);
+  vpayload.push_back(0);
+  EXPECT_FALSE(net::decode_verdict(
+                   std::span<const std::uint8_t>(vpayload.data(),
+                                                 vpayload.size()))
                    .has_value());
 }
 

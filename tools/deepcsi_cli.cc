@@ -689,52 +689,21 @@ int cmd_serve_listen(const Args& args, const serving::ServeOptions& o) {
     shadow->stop();
     stats.shadow = shadow->stats();
   }
+  stats.ingest = ingest.stats();  // stopped above: the counts are final
   if (pub) {
     // Authoritative end-of-run state: a full verdict snapshot (covers
-    // subscribers that connected after early transitions) and the final
-    // counters, flushed before the publisher closes.
+    // subscribers that connected after early transitions), then the
+    // snapshot itself as the last frame, flushed before the publisher
+    // closes. Its publish section is the one thing the frame cannot
+    // carry — it counts that frame — so it is set only afterwards.
     for (const serving::StationVerdict& v : service.sessions().snapshot())
       pub->publish(to_verdict_msg(v));
-    net::StatsMsg sm;
-    sm.reports_classified = stats.reports_classified;
-    sm.dropped_oldest = stats.queue.dropped_oldest;
-    sm.rejected = stats.queue.rejected;
-    sm.throughput_rps = stats.throughput_rps;
-    sm.batch_latency_p99_ms = stats.batch_latency_p99_ms;
-    sm.stations = stats.sessions.stations;
-    sm.evicted_ttl = stats.sessions.evicted_ttl;
-    sm.evicted_lru = stats.sessions.evicted_lru;
-    sm.session_bytes = stats.sessions.approx_bytes;
-    sm.epoch = stats.lifecycle.epoch;
-    sm.swaps_completed = stats.lifecycle.swaps_completed;
-    sm.swaps_rolled_back = stats.lifecycle.swaps_rolled_back;
-    sm.stations_drifting = stats.sessions.stations_drifting;
-    pub->publish_stats(sm);
+    pub->publish_stats(stats.render_json());
     pub->stop();
+    stats.publish = pub->stats();
   }
 
   print_verdicts(service, cfg);
-  // The socket counters live with the socket owners; mirror them into
-  // the snapshot so the renderer (and --stats-json) sees one object.
-  const net::IngestStats is = ingest.stats();
-  stats.ingest.present = true;
-  stats.ingest.conns_accepted = is.conns_accepted;
-  stats.ingest.conns_rejected = is.conns_rejected;
-  stats.ingest.conns_shed = is.conns_shed;
-  stats.ingest.frames = is.frames;
-  stats.ingest.reports_submitted = is.reports_submitted;
-  stats.ingest.reports_dropped = is.reports_dropped;
-  stats.ingest.malformed_payloads = is.malformed_payloads;
-  stats.ingest.protocol_errors = is.protocol_errors;
-  stats.ingest.pauses = is.pauses;
-  if (pub) {
-    const net::PublisherStats ps = pub->stats();
-    stats.publish.present = true;
-    stats.publish.subscribers_accepted = ps.subscribers_accepted;
-    stats.publish.frames_published = ps.frames_published;
-    stats.publish.frames_dropped = ps.frames_dropped;
-    stats.publish.bytes_sent = ps.bytes_sent;
-  }
   std::printf("\n%s", stats.render_text().c_str());
   write_stats_json(o.stats_json, stats);
   return stats.reports_classified > 0 ? 0 : 1;
@@ -996,7 +965,12 @@ int cmd_drive(const Args& args) {
   // once-mode server ends with a full snapshot + stats frame). Last
   // update per station wins — that snapshot makes it the final state.
   std::map<capture::MacAddress, net::VerdictMsg> final_verdicts;
-  std::optional<net::StatsMsg> server_stats;
+  // The end-of-stream marker: a kStats frame holding a StatsSnapshot JSON
+  // object of this build's schema version.
+  const std::string stats_prefix =
+      "{\"version\":" + std::to_string(serving::StatsSnapshot::kVersion) +
+      ",";
+  std::optional<std::string> server_stats;
   int resubscribes_left = resubscribe;
   for (;;) {
     while (auto frame = sub->next_frame()) {
@@ -1008,7 +982,8 @@ int cmd_drive(const Args& args) {
           final_verdicts[v->station] = *v;
       } else if (frame->type ==
                  static_cast<std::uint8_t>(net::FrameType::kStats)) {
-        server_stats = net::decode_stats(payload);
+        std::string json(frame->payload.begin(), frame->payload.end());
+        if (json.starts_with(stats_prefix)) server_stats = std::move(json);
       }
     }
     if (sub->error() != net::FrameAssembler::Error::kNone) {
@@ -1041,27 +1016,8 @@ int cmd_drive(const Args& args) {
     std::printf("  %s -> module %d (%u/%u window votes, %llu reports)\n",
                 mac.to_string().c_str(), v.module_id, v.votes, v.window_size,
                 static_cast<unsigned long long>(v.total_reports));
-  if (server_stats) {
-    std::printf("drive: server classified %llu reports (%.0f reports/s, "
-                "p99 %.2fms; drops: oldest=%llu rejected=%llu)\n",
-                static_cast<unsigned long long>(
-                    server_stats->reports_classified),
-                server_stats->throughput_rps,
-                server_stats->batch_latency_p99_ms,
-                static_cast<unsigned long long>(server_stats->dropped_oldest),
-                static_cast<unsigned long long>(server_stats->rejected));
-    if (server_stats->swaps_completed > 0 ||
-        server_stats->swaps_rolled_back > 0)
-      std::printf("drive: server lifecycle: epoch %llu, swaps "
-                  "completed=%llu rolled-back=%llu, drifting=%llu\n",
-                  static_cast<unsigned long long>(server_stats->epoch),
-                  static_cast<unsigned long long>(
-                      server_stats->swaps_completed),
-                  static_cast<unsigned long long>(
-                      server_stats->swaps_rolled_back),
-                  static_cast<unsigned long long>(
-                      server_stats->stations_drifting));
-  }
+  if (server_stats)
+    std::printf("drive: server stats: %s", server_stats->c_str());
 
   if (!args.has("model")) return 0;
 
