@@ -1,7 +1,6 @@
 #include "nn/activations.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/parallel.h"
 #include "nn/simd.h"
@@ -26,10 +25,12 @@ void selu_apply(const float* x, float* y, std::size_t n) {
 }  // namespace
 
 Tensor Selu::forward(const Tensor& x, bool /*training*/) {
-  cached_x_ = x;
-  Tensor out = x;
-  selu_apply(x.data(), out.data(), out.numel());
-  return out;
+  // The output is written straight into the cache backward reads (its
+  // buffer is reused across steps of one batch shape) and returned as
+  // the one copy.
+  if (!cached_y_.same_shape(x)) cached_y_ = Tensor(x.shape());
+  selu_apply(x.data(), cached_y_.data(), x.numel());
+  return cached_y_;
 }
 
 void Selu::plan_inference(InferencePlan& plan) const {
@@ -40,17 +41,21 @@ void Selu::forward_into(const InferArgs& args) const {
   selu_apply(args.x.data(), args.y.data(), args.x.numel());
 }
 
+// dx = g * selu'(x), read off the cached output (simd.h: selu_grad), so no
+// exp is evaluated. Same pool fan-out as selu_apply; the kernel is a pure
+// per-element function, so the result is independent of DEEPCSI_THREADS.
 Tensor Selu::backward(const Tensor& grad_out) {
-  DEEPCSI_CHECK(!cached_x_.empty());
-  DEEPCSI_CHECK(grad_out.same_shape(cached_x_));
-  Tensor grad_in = grad_out;
-  float* __restrict g = grad_in.data();
-  const float* __restrict x = cached_x_.data();
-  const std::size_t n = grad_in.numel();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    g[i] *= v > 0.0f ? kSeluLambda : kSeluLambda * kSeluAlpha * std::exp(v);
-  }
+  DEEPCSI_CHECK(!cached_y_.empty());
+  DEEPCSI_CHECK(grad_out.same_shape(cached_y_));
+  Tensor grad_in(grad_out.shape());
+  const simd::SimdOps& ops = simd::ops();
+  const float* y = cached_y_.data();
+  const float* g = grad_out.data();
+  float* dx = grad_in.data();
+  common::parallel_for(0, grad_in.numel(), common::grain_for(4),
+                       [&](std::size_t lo, std::size_t hi) {
+                         ops.selu_grad(y + lo, g + lo, dx + lo, hi - lo);
+                       });
   return grad_in;
 }
 

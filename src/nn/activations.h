@@ -18,7 +18,7 @@ class Selu final : public Layer {
   std::string name() const override { return "selu"; }
 
  private:
-  Tensor cached_x_;
+  Tensor cached_y_;  // forward output; backward's derivative reads it
 };
 
 // [N, C, H, W] (or any rank >= 2) -> [N, rest].

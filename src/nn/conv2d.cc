@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 #include "common/parallel.h"
 #include "nn/gemm.h"
 #include "nn/init.h"
@@ -70,6 +74,47 @@ void im2col_impl(const T* x, T pad, std::size_t n_batch, std::size_t hh,
             for (std::size_t w = ws.lo; w < ws.hi; ++w)
               dst[w] = src[static_cast<std::ptrdiff_t>(w) + dw];
           }
+        }
+      });
+}
+
+// rows[n] = cols[n]^T: each sample's [ckk][hw] im2col matrix turned into
+// the [hw][ckk] B operand of the weight-gradient GEMM, whose reduction
+// index (the pixel p) must be the row index. 4x4 SSE register transposes
+// over the interior, scalar loops over the ragged edges; pure data
+// movement, parallel over samples.
+void transpose_cols(const float* cols, std::size_t n_batch, std::size_t ckk,
+                    std::size_t hw, float* rows) {
+  common::parallel_for(
+      0, n_batch, common::grain_for(ckk * hw),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t n = lo; n < hi; ++n) {
+          const float* __restrict src = cols + n * ckk * hw;
+          float* __restrict dst = rows + n * ckk * hw;
+          std::size_t q = 0;
+#ifdef __SSE2__
+          for (; q + 4 <= ckk; q += 4) {
+            const float* s0 = src + q * hw;
+            std::size_t p = 0;
+            for (; p + 4 <= hw; p += 4) {
+              __m128 r0 = _mm_loadu_ps(s0 + p);
+              __m128 r1 = _mm_loadu_ps(s0 + hw + p);
+              __m128 r2 = _mm_loadu_ps(s0 + 2 * hw + p);
+              __m128 r3 = _mm_loadu_ps(s0 + 3 * hw + p);
+              _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+              _mm_storeu_ps(dst + p * ckk + q, r0);
+              _mm_storeu_ps(dst + (p + 1) * ckk + q, r1);
+              _mm_storeu_ps(dst + (p + 2) * ckk + q, r2);
+              _mm_storeu_ps(dst + (p + 3) * ckk + q, r3);
+            }
+            for (; p < hw; ++p)
+              for (std::size_t t = 0; t < 4; ++t)
+                dst[p * ckk + q + t] = s0[t * hw + p];
+          }
+#endif
+          for (; q < ckk; ++q)
+            for (std::size_t p = 0; p < hw; ++p)
+              dst[p * ckk + q] = src[q * hw + p];
         }
       });
 }
@@ -253,14 +298,17 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         }
       });
 
-  // grad_W += sum_n grad_out[n] * cols[n]^T in one dispatch over the
-  // weight elements; the (n, hw)-ascending order per element is fixed.
-  gemm_nt_batch_reduce(n_batch, out_channels_, ckk, hw, grad_out.data(),
-                       out_channels_ * hw, cached_cols_.data(), ckk * hw,
-                       weight_.grad.data(), /*accumulate=*/true);
+  // grad_W += sum_n grad_out[n] * cols[n]^T, the transposed columns staged
+  // in the column-gradient scratch (same n * ckk * hw floats; the
+  // column-gradient GEMM overwrites them right after).
+  col_grad_scratch_.resize(n_batch * ckk * hw);
+  transpose_cols(cached_cols_.data(), n_batch, ckk, hw,
+                 col_grad_scratch_.data());
+  gemm_nn_batch_reduce(n_batch, out_channels_, ckk, hw, grad_out.data(),
+                       out_channels_ * hw, col_grad_scratch_.data(), hw * ckk,
+                       weight_.grad.data());
 
   // Column gradients: colgrad[n] = W^T * grad_out[n].
-  col_grad_scratch_.resize(n_batch * ckk * hw);
   gemm_tn_batched(n_batch, ckk, hw, out_channels_, weight_.value.data(),
                   grad_out.data(), out_channels_ * hw, col_grad_scratch_.data(),
                   ckk * hw, /*accumulate=*/false);

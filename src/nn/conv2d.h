@@ -3,9 +3,11 @@
 // Implemented as im2col + the shared row-parallel GEMM kernel: each
 // sample's receptive fields are unrolled into a [Cin*kh*kw, H*W] column
 // matrix, so forward is one weight-by-columns GEMM and backward is the
-// transposed pair (weight gradient and column gradient) plus a col2im
-// scatter. All stages run over the global thread pool with deterministic
-// partitioning — outputs are bit-identical for any DEEPCSI_THREADS.
+// transposed pair plus a col2im scatter: the weight gradient reduces the
+// batch in one blocked GEMM over the transposed columns, the column
+// gradient is W^T times the output gradient. All stages run over the
+// global thread pool with deterministic partitioning — outputs are
+// bit-identical for any DEEPCSI_THREADS.
 //
 // The DeepCSI classifier convolves only along the sub-carrier axis
 // (kernels (1,7)/(1,5)/(1,3)); the kernels here stay general (kh, kw).
@@ -76,7 +78,9 @@ class Conv2d final : public Layer {
   // GEMM consumes it after training-mode forward; inference reuses its
   // capacity across calls and drops oversized leftovers on transition.
   std::vector<float> cached_cols_;
-  std::vector<float> col_grad_scratch_;  // backward column gradients
+  // Backward scratch: first the transposed columns, then the column
+  // gradients.
+  std::vector<float> col_grad_scratch_;
 };
 
 }  // namespace deepcsi::nn

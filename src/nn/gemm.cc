@@ -148,6 +148,30 @@ void gemm_tn_batched(std::size_t batch, std::size_t m, std::size_t n,
   });
 }
 
+void gemm_nn_batch_reduce(std::size_t batch, std::size_t m, std::size_t n,
+                          std::size_t k, const float* a, std::size_t a_stride,
+                          const float* b, std::size_t b_stride, float* c) {
+  const simd::SimdOps& ops = simd::ops();
+  // Column blocks of whole vectors, at least one widest avx2 tile (24
+  // columns) each: a chunk's B slice stays L1-resident across its row
+  // blocks, and every C column lands in exactly one chunk, so the batch
+  // reduction needs no cross-chunk merge. No packing: B rows are already
+  // contiguous.
+  const std::size_t grain =
+      (std::max(common::grain_for(batch * m * k), std::size_t{24}) + 7) &
+      ~std::size_t{7};
+  common::parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t s = 0; s < batch; ++s) {
+      const float* b_s = b + s * b_stride + lo;
+      for (std::size_t k0 = 0; k0 < k; k0 += kKTile) {
+        const std::size_t k1 = std::min(k, k0 + kKTile);
+        ops.gemm_tile(m, hi - lo, k0, k1, a + s * a_stride, k, 1,
+                      b_s + k0 * n, n, c + lo, n);
+      }
+    }
+  });
+}
+
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
              const float* b, float* c, bool accumulate) {
   const simd::SimdOps& ops = simd::ops();
@@ -431,25 +455,6 @@ void dense_s8u8(std::size_t n_batch, std::size_t k,
                                  qw.dequant[o],
                                  bias != nullptr ? bias[o] : 0.0f);
           }
-        }
-      });
-}
-
-void gemm_nt_batch_reduce(std::size_t batch, std::size_t m, std::size_t n,
-                          std::size_t k, const float* a, std::size_t a_stride,
-                          const float* b, std::size_t b_stride, float* c,
-                          bool accumulate) {
-  const simd::SimdOps& ops = simd::ops();
-  common::parallel_for(
-      0, m * n, common::grain_for(batch * k),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t e = lo; e < hi; ++e) {
-          const std::size_t i = e / n, j = e % n;
-          float cur = accumulate ? c[e] : 0.0f;
-          for (std::size_t s = 0; s < batch; ++s)
-            cur += ops.dot(a + s * a_stride + i * k, b + s * b_stride + j * k,
-                           k);
-          c[e] = cur;
         }
       });
 }

@@ -1,14 +1,15 @@
 // Row-parallel single-precision GEMM kernels for the NN hot paths.
 //
 // All matrices are contiguous row-major. Every variant parallelizes over
-// rows of C through common::parallel_for; each output row is computed
-// wholly inside one chunk with a fixed ascending-k accumulation order, so
-// within a SIMD backend results are bit-identical for any thread count or
-// chunking. The batched variants share one A across the batch (the
-// weight matrix) and fold the batch axis into the parallel index space,
-// which is what gives single-sample inference (batch = 1, rows = M) and
-// mini-batch training (rows = batch * M) the same kernel and the same
-// full parallelism.
+// rows of C (the batch-reducing variant: over column blocks) through
+// common::parallel_for; each output element is computed wholly inside one
+// chunk with a fixed ascending-k accumulation order, so within a SIMD
+// backend results are bit-identical for any thread count or chunking.
+// The batched variants share one A across the batch (the weight matrix)
+// and fold the batch axis into the parallel index space, which is what
+// gives single-sample inference (batch = 1, rows = M) and mini-batch
+// training (rows = batch * M) the same kernel and the same full
+// parallelism.
 //
 // The NN/TN variants run a register-blocked micro-kernel: a block of C
 // rows shares each streamed B row (multiplying arithmetic intensity), the
@@ -73,14 +74,15 @@ inline void gemm_tn(std::size_t m, std::size_t n, std::size_t k,
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
              const float* b, float* c, bool accumulate);
 
-// C[M,N] (+)= sum_s A_s[M,K] * B_s[N,K]^T — the batch reduces into each
-// output element (s outer, k inner, both ascending) in ONE dispatch over
-// the M*N element space, so parallelism is not capped at M rows and the
-// result is bit-identical to looping gemm_nt over s.
-void gemm_nt_batch_reduce(std::size_t batch, std::size_t m, std::size_t n,
+// C[M,N] += sum_s A_s[M,K] * B_s[K,N] — the batch reduces into C (the
+// conv weight gradient, with B_s the transposed im2col columns). Runs the
+// same register tiles as gemm_nn_batched, parallel over fixed blocks of C
+// columns: each chunk walks s, then k-tiles, then k in ascending order, so
+// every element accumulates one multiply-add per (s, k) in an order that
+// depends only on the shape — bit-identical for any DEEPCSI_THREADS.
+void gemm_nn_batch_reduce(std::size_t batch, std::size_t m, std::size_t n,
                           std::size_t k, const float* a, std::size_t a_stride,
-                          const float* b, std::size_t b_stride, float* c,
-                          bool accumulate);
+                          const float* b, std::size_t b_stride, float* c);
 
 // ------------------------------------------------------ INT8 drivers
 //

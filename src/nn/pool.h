@@ -19,8 +19,10 @@ class MaxPool2d final : public Layer {
   std::string name() const override { return "max_pool2d"; }
 
  private:
-  // Shared pooling loop: records the argmax only when asked (training
-  // caches it for backward; the const serve path does not need it).
+  // The one pooling kernel of both forwards (a SIMD fast path for the
+  // (1, 2) window, a generic loop otherwise): records the argmax only when
+  // asked (training caches it for backward; the const serve path does
+  // not need it).
   void compute_forward(const float* x, std::size_t n_batch, std::size_t ch,
                        std::size_t hh, std::size_t ww, float* out,
                        std::size_t* argmax) const;

@@ -99,6 +99,15 @@ void selu_scalar(const float* x, float* y, std::size_t n) {
   }
 }
 
+void selu_grad_scalar(const float* y, const float* g, float* dx,
+                      std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = y[i];
+    dx[i] = g[i] * (v > 0.0f ? nn::kSeluLambda
+                             : v + nn::kSeluLambda * nn::kSeluAlpha);
+  }
+}
+
 // ------------------------------------------------------------- max pool
 
 void max_pool_1x2_scalar(const float* x, float* out, std::size_t ow) {
@@ -219,6 +228,7 @@ constexpr SimdOps kScalarOps = {
     gemm_tile_scalar,
     dot_scalar,
     selu_scalar,
+    selu_grad_scalar,
     max_pool_1x2_scalar,
     givens_left_scalar,
     givens_right_scalar,

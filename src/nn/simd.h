@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD kernel backend for every scalar hot loop in the
 // pipeline: the GEMM micro-kernel tiles (nn/gemm.cc), the SELU activation
-// (nn/activations.cc), and the complex-double rotation kernels behind the
-// feedback codec (linalg/cmat.cc).
+// and its gradient (nn/activations.cc), the max pool (nn/pool.cc), and the
+// complex-double rotation kernels behind the feedback codec
+// (linalg/cmat.cc).
 //
 // Three backends exist:
 //
@@ -79,6 +80,18 @@ struct SimdOps {
   // fused conv epilogue, the standalone layer, and any parallel_for
   // chunking all produce bitwise-equal activations.
   void (*selu)(const float* x, float* y, std::size_t n);
+
+  // SELU backward from the forward OUTPUT y (not the input):
+  //   dx[i] = g[i] * (y[i] > 0 ? lambda : y[i] + lambda * alpha)
+  // For x <= 0, lambda*alpha*exp(x) == y + lambda*alpha in real
+  // arithmetic, so no exp is evaluated; in float the factor differs from
+  // lambda*alpha*exp(x) by the forward's rounding of y plus one rounding
+  // of the add (at most about one ulp of lambda*alpha, ~1.2e-7). Every
+  // backend evaluates the same add, select and multiply with one
+  // rounding each, so results are bit-identical ACROSS backends (not
+  // merely within one), for full vectors and masked tails alike.
+  // In-place (dx == g) is allowed.
+  void (*selu_grad)(const float* y, const float* g, float* dx, std::size_t n);
 
   // Width-only stride-2 max pool over one row: out[j] =
   // max(x[2j], x[2j+1]) for j in [0, ow), with the exact comparison

@@ -1,9 +1,9 @@
 // The avx2 kernel table: 8-wide FMA register tiles for the float GEMM /
-// SELU hot loops and 2-complex-wide __m256d kernels for the feedback
-// rotation math. This is the ONLY translation unit compiled with
-// -mavx2 -mfma (see DEEPCSI_ENABLE_AVX2 in CMakeLists.txt); everything
-// reaches it through the function-pointer table in nn/simd.h, so the
-// binary keeps the baseline ISA everywhere else and still runs on
+// SELU / SELU-gradient hot loops and 2-complex-wide __m256d kernels for
+// the feedback rotation math. This is the ONLY translation unit compiled
+// with -mavx2 -mfma (see DEEPCSI_ENABLE_AVX2 in CMakeLists.txt);
+// everything reaches it through the function-pointer table in nn/simd.h,
+// so the binary keeps the baseline ISA everywhere else and still runs on
 // non-AVX2 hosts.
 //
 // Determinism inside this backend: every output element is accumulated
@@ -295,6 +295,30 @@ void selu_avx2(const float* x, float* y, std::size_t n) {
   }
 }
 
+// cmp + blendv + mul: the add, select and multiply of the scalar loop,
+// one rounding each, so both backends produce the same bits.
+inline __m256 selu_grad_vec(__m256 y, __m256 g) {
+  const __m256 neg =
+      _mm256_add_ps(y, _mm256_set1_ps(nn::kSeluLambda * nn::kSeluAlpha));
+  const __m256 slope =
+      _mm256_blendv_ps(neg, _mm256_set1_ps(nn::kSeluLambda),
+                       _mm256_cmp_ps(y, _mm256_setzero_ps(), _CMP_GT_OQ));
+  return _mm256_mul_ps(g, slope);
+}
+
+void selu_grad_avx2(const float* y, const float* g, float* dx, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    _mm256_storeu_ps(dx + i, selu_grad_vec(_mm256_loadu_ps(y + i),
+                                           _mm256_loadu_ps(g + i)));
+  if (i < n) {
+    const __m256i m = tail_mask8(n - i);
+    _mm256_maskstore_ps(dx + i, m,
+                        selu_grad_vec(_mm256_maskload_ps(y + i, m),
+                                      _mm256_maskload_ps(g + i, m)));
+  }
+}
+
 // ------------------------------------------------------------- max pool
 
 void max_pool_1x2_avx2(const float* x, float* out, std::size_t ow) {
@@ -431,6 +455,7 @@ constexpr SimdOps kAvx2Ops = {
     gemm_tile_avx2,
     dot_avx2,
     selu_avx2,
+    selu_grad_avx2,
     max_pool_1x2_avx2,
     givens_left_avx2,
     givens_right_avx2,

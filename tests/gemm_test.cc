@@ -210,15 +210,14 @@ TEST(GemmBlockedTest, FusedRowEpilogueMatchesSeparateApplication) {
 }
 
 TEST(GemmBlockedTest, NtVariantsStayConsistentWithNaive) {
-  // gemm_nt / gemm_nt_batch_reduce use fixed-lane dot products (they do
-  // reassociate), so they get a tolerance, not bitwise equality — under
-  // every backend.
+  // gemm_nt uses fixed-lane dot products (it does reassociate), so it
+  // gets a tolerance, not bitwise equality — under every backend.
   ThreadGuard guard;
   BackendGuard backend_guard;
   common::set_num_threads(4);
-  const std::size_t batch = 3, m = 5, n = 7, k = 61;
-  const auto a = random_vec(batch * m * k, 41);
-  const auto b = random_vec(batch * n * k, 43);
+  const std::size_t m = 5, n = 7, k = 61;
+  const auto a = random_vec(m * k, 41);
+  const auto b = random_vec(n * k, 43);
   for (const simd::Backend backend : available_backends()) {
     ASSERT_TRUE(simd::set_active(backend));
     std::vector<float> c(m * n, 0.0f);
@@ -229,18 +228,6 @@ TEST(GemmBlockedTest, NtVariantsStayConsistentWithNaive) {
         for (std::size_t kk = 0; kk < k; ++kk)
           ref += static_cast<double>(a[i * k + kk]) * b[j * k + kk];
         EXPECT_NEAR(c[i * n + j], ref, 1e-4) << simd::name(backend);
-      }
-    std::vector<float> cr(m * n, 0.0f);
-    gemm_nt_batch_reduce(batch, m, n, k, a.data(), m * k, b.data(), n * k,
-                         cr.data(), false);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = 0; j < n; ++j) {
-        double ref = 0.0;
-        for (std::size_t s = 0; s < batch; ++s)
-          for (std::size_t kk = 0; kk < k; ++kk)
-            ref += static_cast<double>(a[s * m * k + i * k + kk]) *
-                   b[s * n * k + j * k + kk];
-        EXPECT_NEAR(cr[i * n + j], ref, 1e-3) << simd::name(backend);
       }
   }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <random>
 
 #include "nn/activations.h"
@@ -14,6 +16,8 @@
 #include "nn/metrics.h"
 #include "nn/model.h"
 #include "nn/pool.h"
+#include "nn/simd.h"
+#include "test_util.h"
 
 namespace deepcsi::nn {
 namespace {
@@ -74,6 +78,79 @@ TEST(Conv2dTest, BruteForceReference) {
           }
         EXPECT_NEAR(y.at4(b, o, 0, p), acc, 1e-4f);
       }
+}
+
+// grad_W[o][c][i][j] = sum_n sum_(h,w) g[n][o][h][w] * x[n][c][h+i-ph][w+j-pw]
+// in double, zero padding outside the image.
+std::vector<double> conv_weight_grad_reference(const Tensor& x, const Tensor& g,
+                                               std::size_t co, std::size_t kh,
+                                               std::size_t kw) {
+  const std::size_t n = x.dim(0), ci = x.dim(1), hh = x.dim(2), ww = x.dim(3);
+  const std::ptrdiff_t ph = static_cast<std::ptrdiff_t>(kh - 1) / 2;
+  const std::ptrdiff_t pw = static_cast<std::ptrdiff_t>(kw - 1) / 2;
+  std::vector<double> ref(co * ci * kh * kw, 0.0);
+  for (std::size_t o = 0; o < co; ++o)
+    for (std::size_t c = 0; c < ci; ++c)
+      for (std::size_t i = 0; i < kh; ++i)
+        for (std::size_t j = 0; j < kw; ++j) {
+          double acc = 0.0;
+          for (std::size_t b = 0; b < n; ++b)
+            for (std::size_t h = 0; h < hh; ++h)
+              for (std::size_t w = 0; w < ww; ++w) {
+                const std::ptrdiff_t hs =
+                    static_cast<std::ptrdiff_t>(h + i) - ph;
+                const std::ptrdiff_t ws =
+                    static_cast<std::ptrdiff_t>(w + j) - pw;
+                if (hs < 0 || hs >= static_cast<std::ptrdiff_t>(hh) || ws < 0 ||
+                    ws >= static_cast<std::ptrdiff_t>(ww))
+                  continue;
+                acc += static_cast<double>(g.at4(b, o, h, w)) *
+                       x.at4(b, c, static_cast<std::size_t>(hs),
+                             static_cast<std::size_t>(ws));
+              }
+          ref[((o * ci + c) * kh + i) * kw + j] = acc;
+        }
+  return ref;
+}
+
+TEST(Conv2dTest, WeightGradientMatchesDoubleReference) {
+  // A width kernel (the DeepCSI geometry) and a 2-D kernel, under every
+  // backend. H*W is not a multiple of 8 (masked GEMM tails) and spans two
+  // k-tiles for the width kernel; Cin*kh*kw is not a multiple of 4 (the
+  // transpose's scalar edge) and, for the width kernel, spans two column
+  // blocks. A second backward without zero_grad must add to the first.
+  tests::BackendGuard guard;
+  struct Shape {
+    std::size_t n, ci, co, kh, kw, hh, ww;
+  };
+  for (const Shape sh :
+       {Shape{3, 7, 5, 1, 5, 1, 71}, Shape{2, 3, 3, 3, 3, 5, 7}}) {
+    std::mt19937_64 rng(17 + sh.kh);
+    std::normal_distribution<float> dist(0.0f, 1.0f);
+    Tensor x({sh.n, sh.ci, sh.hh, sh.ww});
+    Tensor g({sh.n, sh.co, sh.hh, sh.ww});
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = dist(rng);
+    for (std::size_t i = 0; i < g.numel(); ++i) g[i] = dist(rng);
+    const std::vector<double> ref =
+        conv_weight_grad_reference(x, g, sh.co, sh.kh, sh.kw);
+    for (const simd::Backend backend : tests::available_backends()) {
+      ASSERT_TRUE(simd::set_active(backend));
+      Conv2d conv(sh.ci, sh.co, sh.kh, sh.kw, rng);
+      conv.forward(x, /*training=*/true);
+      conv.backward(g);
+      const Tensor once = conv.params()[0]->grad;
+      conv.forward(x, /*training=*/true);
+      conv.backward(g);
+      const Tensor& twice = conv.params()[0]->grad;
+      ASSERT_EQ(once.numel(), ref.size());
+      for (std::size_t e = 0; e < ref.size(); ++e) {
+        EXPECT_NEAR(once[e], ref[e], 1e-4 * (1.0 + std::abs(ref[e])))
+            << simd::name(backend) << " kh=" << sh.kh << " e=" << e;
+        EXPECT_NEAR(twice[e], 2.0 * ref[e], 2e-4 * (1.0 + std::abs(ref[e])))
+            << simd::name(backend) << " kh=" << sh.kh << " e=" << e;
+      }
+    }
+  }
 }
 
 TEST(Conv2dTest, RejectsEvenKernels) {
@@ -162,6 +239,81 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gx[1], 5.0f);
   EXPECT_FLOAT_EQ(gx[2], 11.0f);
   EXPECT_FLOAT_EQ(gx[3], 0.0f);
+}
+
+TEST(MaxPoolTest, FloorOnlyWindowKeepsItsGradient) {
+  // A window with no value above the -3.4e38 floor (all NaN, or -inf)
+  // must route its gradient to its own first element, never to flat
+  // index 0 — for the (1, 2) fast path and the generic loop alike.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  tests::BackendGuard guard;
+  for (const std::size_t kw : {std::size_t{2}, std::size_t{3}}) {
+    for (const simd::Backend backend : tests::available_backends()) {
+      ASSERT_TRUE(simd::set_active(backend));
+      MaxPool2d pool(1, kw);
+      Tensor x({2, 1, 1, 2 * kw});
+      for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(i);
+      for (std::size_t j = 0; j < kw; ++j) {
+        x.at4(1, 0, 0, j) = nan;        // sample 1, window 0: all NaN
+        x.at4(1, 0, 0, kw + j) = -inf;  // sample 1, window 1: all -inf
+      }
+      pool.forward(x, /*training=*/true);
+      Tensor g({2, 1, 1, 2});
+      for (std::size_t i = 0; i < g.numel(); ++i) g[i] = 10.0f * (i + 1);
+      const Tensor gx = pool.backward(g);
+      // Sample 0 is increasing: each window's last element wins.
+      EXPECT_EQ(gx.at4(0, 0, 0, 0), 0.0f) << simd::name(backend);
+      EXPECT_EQ(gx.at4(0, 0, 0, kw - 1), 10.0f) << simd::name(backend);
+      EXPECT_EQ(gx.at4(0, 0, 0, 2 * kw - 1), 20.0f) << simd::name(backend);
+      EXPECT_EQ(gx.at4(1, 0, 0, 0), 30.0f)
+          << simd::name(backend) << " kw=" << kw;
+      EXPECT_EQ(gx.at4(1, 0, 0, kw), 40.0f)
+          << simd::name(backend) << " kw=" << kw;
+      EXPECT_EQ(gx.sum(), 100.0) << simd::name(backend) << " kw=" << kw;
+    }
+  }
+}
+
+TEST(MaxPoolTest, FastPathArgmaxFollowsTheGenericRule) {
+  // The (1, 2) fast path derives its argmax with the generic loop's rule:
+  // the second element wins only when strictly greater than
+  // max(first, -3.4e38). Ties, NaN on either side and values below the
+  // floor all keep the first element.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pairs[][2] = {{1, 2},         {2, 1},
+                            {3, 3},         {nan, 1},
+                            {1, nan},       {nan, nan},
+                            {-inf, -inf},   {-inf, 0},
+                            {-3.402e38f, -3.401e38f},
+                            {0.0f, -0.0f},  {-0.0f, 0.0f},
+                            {-1, -2},       {5, inf}};
+  const std::size_t np = std::size(pairs);
+  tests::BackendGuard guard;
+  for (const simd::Backend backend : tests::available_backends()) {
+    ASSERT_TRUE(simd::set_active(backend));
+    MaxPool2d pool(1, 2);
+    Tensor x({1, 1, 1, 2 * np});
+    for (std::size_t p = 0; p < np; ++p) {
+      x[2 * p] = pairs[p][0];
+      x[2 * p + 1] = pairs[p][1];
+    }
+    pool.forward(x, /*training=*/true);
+    Tensor g({1, 1, 1, np});
+    g.fill(1.0f);
+    const Tensor gx = pool.backward(g);
+    for (std::size_t p = 0; p < np; ++p) {
+      float best = -3.4e38f;
+      std::size_t want = 0;
+      if (pairs[p][0] > best) best = pairs[p][0];
+      if (pairs[p][1] > best) want = 1;
+      EXPECT_EQ(gx[2 * p + want], 1.0f)
+          << simd::name(backend) << " pair " << p;
+      EXPECT_EQ(gx[2 * p + 1 - want], 0.0f)
+          << simd::name(backend) << " pair " << p;
+    }
+  }
 }
 
 TEST(AlphaDropoutTest, EvalModeIsIdentity) {

@@ -1,5 +1,6 @@
 // Thread pool and deterministic parallel_for: index coverage, exception
-// propagation, and bit-identical NN layer results across thread counts.
+// propagation, and bit-identical NN layer results — and whole training
+// steps — across thread counts.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -7,8 +8,13 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/model.h"
+#include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
+#include "nn/pool.h"
 #include "tensor/tensor.h"
 #include "test_util.h"
 
@@ -16,6 +22,8 @@ namespace deepcsi {
 namespace {
 
 using nn::Tensor;
+using tests::available_backends;
+using tests::BackendGuard;
 using tests::ThreadGuard;
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
@@ -146,6 +154,68 @@ TEST(ParallelDeterminismTest, Conv2dBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(r1.size(), r4.size());
   for (std::size_t i = 0; i < r1.size(); ++i)
     expect_bitwise_equal(r1[i], r4[i]);
+}
+
+TEST(ParallelDeterminismTest, SeluAndMaxPoolBitIdenticalAcrossThreadCounts) {
+  // Large enough that selu_grad and the pool fast path split into
+  // several chunks.
+  ThreadGuard guard;
+  BackendGuard backend_guard;
+  const Tensor x = random_tensor({8, 16, 1, 301}, 31);
+  const Tensor g_selu = random_tensor({8, 16, 1, 301}, 37);
+  const Tensor g_pool = random_tensor({8, 16, 1, 150}, 41);
+  for (const simd::Backend backend : available_backends()) {
+    ASSERT_TRUE(simd::set_active(backend));
+    nn::Selu selu;
+    nn::MaxPool2d pool(1, 2);
+    const auto s1 = run_layer(selu, x, g_selu, 1);
+    const auto s4 = run_layer(selu, x, g_selu, 4);
+    const auto p1 = run_layer(pool, x, g_pool, 1);
+    const auto p4 = run_layer(pool, x, g_pool, 4);
+    ASSERT_EQ(s1.size(), 2u);
+    ASSERT_EQ(p1.size(), 2u);
+    for (std::size_t i = 0; i < s1.size(); ++i) {
+      expect_bitwise_equal(s1[i], s4[i]);
+      expect_bitwise_equal(p1[i], p4[i]);
+    }
+  }
+}
+
+// One full training step of the quick model — forward, loss, backward and
+// Adam — from a fresh model at the given thread count; returns the
+// updated parameters.
+std::vector<Tensor> quick_model_train_step(int threads) {
+  common::set_num_threads(threads);
+  const int channels = 3, width = 117, classes = 10;
+  nn::Sequential model = core::build_deepcsi_model(
+      channels, width, classes, core::quick_model_config());
+  const Tensor x = random_tensor({16, channels, 1, width}, 43);
+  std::vector<int> y(16);
+  for (std::size_t i = 0; i < y.size(); ++i)
+    y[i] = static_cast<int>((7 * i + 3) % classes);
+  nn::Adam adam(model.params(), {.lr = 1e-3f});
+  model.zero_grad();
+  const Tensor logits = model.forward(x, /*training=*/true);
+  model.backward(nn::softmax_cross_entropy(logits, y).grad_logits);
+  adam.step();
+  std::vector<Tensor> out;
+  for (nn::Param* p : model.params()) out.push_back(p->value);
+  return out;
+}
+
+TEST(ParallelDeterminismTest, QuickModelTrainStepBitIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  BackendGuard backend_guard;
+  for (const simd::Backend backend : available_backends()) {
+    ASSERT_TRUE(simd::set_active(backend));
+    const auto w1 = quick_model_train_step(1);
+    const auto w4 = quick_model_train_step(4);
+    ASSERT_EQ(w1.size(), w4.size());
+    for (std::size_t i = 0; i < w1.size(); ++i) {
+      SCOPED_TRACE(simd::name(backend));
+      expect_bitwise_equal(w1[i], w4[i]);
+    }
+  }
 }
 
 TEST(ParallelDeterminismTest, GrainForIsSane) {

@@ -252,6 +252,75 @@ TEST(SimdSeluTest, InPlaceApplicationMatchesOutOfPlace) {
   }
 }
 
+// ------------------------------------------------------ SELU gradient
+
+// Inputs covering both branches, the origin, -0.0 and deep saturation.
+std::vector<float> selu_grad_inputs(std::size_t n, std::uint64_t seed) {
+  std::vector<float> x = random_vec(n, seed);
+  for (float& v : x) v *= 3.0f;
+  if (n >= 5) {
+    x[0] = 0.0f;
+    x[1] = -0.0f;
+    x[2] = -100.0f;
+    x[3] = 80.0f;
+    x[4] = -1e-30f;
+  }
+  return x;
+}
+
+TEST(SimdSeluGradTest, Avx2EqualsScalarBitwiseIncludingTails) {
+  // One add, select and multiply per element in both kernels: the
+  // contract is bit-identity across backends, full vectors and masked
+  // tails alike, and in place.
+  if (!avx2_available()) GTEST_SKIP() << "avx2 backend unavailable";
+  BackendGuard guard;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                              std::size_t{8}, std::size_t{9}, std::size_t{30},
+                              std::size_t{1013}}) {
+    const auto x = selu_grad_inputs(n, 601 + n);
+    const auto g = random_vec(n, 701 + n);
+    ASSERT_TRUE(simd::set_active(Backend::kScalar));
+    std::vector<float> y(n), ref(n);
+    simd::ops().selu(x.data(), y.data(), n);
+    simd::ops().selu_grad(y.data(), g.data(), ref.data(), n);
+    for (const Backend backend : {Backend::kAvx2, Backend::kAvx2Int8}) {
+      ASSERT_TRUE(simd::set_active(backend));
+      std::vector<float> out(n, -1e30f);
+      simd::ops().selu_grad(y.data(), g.data(), out.data(), n);
+      std::vector<float> inplace = g;
+      simd::ops().selu_grad(y.data(), inplace.data(), inplace.data(), n);
+      ASSERT_EQ(std::memcmp(out.data(), ref.data(), n * sizeof(float)), 0)
+          << simd::name(backend) << " n=" << n;
+      ASSERT_EQ(std::memcmp(inplace.data(), ref.data(), n * sizeof(float)), 0)
+          << simd::name(backend) << " in place, n=" << n;
+    }
+  }
+}
+
+TEST(SimdSeluGradTest, MatchesExpDerivativeUnderEveryBackend) {
+  // The output-based form y + lambda*alpha stands in for
+  // lambda*alpha*exp(x); with each backend's own forward y it stays
+  // within 2e-7 absolute plus 1e-6 relative of the exp derivative.
+  BackendGuard guard;
+  const std::size_t n = 1013;
+  const auto x = selu_grad_inputs(n, 809);
+  const std::vector<float> ones(n, 1.0f);
+  for (const Backend backend : available_backends()) {
+    ASSERT_TRUE(simd::set_active(backend));
+    std::vector<float> y(n), d(n);
+    simd::ops().selu(x.data(), y.data(), n);
+    simd::ops().selu_grad(y.data(), ones.data(), d.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double ref =
+          x[i] > 0.0f ? double(nn::kSeluLambda)
+                      : double(nn::kSeluLambda) * nn::kSeluAlpha *
+                            std::exp(double(x[i]));
+      ASSERT_NEAR(d[i], ref, 2e-7 + 1e-6 * std::abs(ref))
+          << simd::name(backend) << " i=" << i << " x=" << x[i];
+    }
+  }
+}
+
 // ------------------------------------------------- rotation kernels
 
 linalg::CMat random_cmat(std::size_t r, std::size_t c, std::uint64_t seed) {
