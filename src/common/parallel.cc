@@ -82,9 +82,12 @@ class ThreadPool {
       std::unique_lock<std::mutex> lk(mutex_);
       // One pooled job at a time — but a caller that finds the pool busy
       // does NOT wait behind it: it runs its own chunks serially instead.
-      // Concurrent top-level callers (the serving lanes) therefore never
-      // serialize on each other; they share cores through the OS. The
-      // chunk boundaries and per-chunk order are identical either way, so
+      // Inference fans out by sample (InferenceContext::run makes one job
+      // per batch, its chunks claiming samples), so a serving lane that
+      // finds the pool busy runs its whole batch serially on its own
+      // thread. Concurrent top-level callers therefore never serialize
+      // on each other; they share cores through the OS. The chunk
+      // boundaries and per-chunk order are identical either way, so
       // results stay bit-identical by the determinism contract.
       // (start_workers may drop the lock while resizing, so job_ is
       // re-checked after it returns.)

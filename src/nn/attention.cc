@@ -104,15 +104,14 @@ Tensor SpatialAttention::backward(const Tensor& grad_out) {
 
 void SpatialAttention::plan_inference(InferencePlan& plan) const {
   DEEPCSI_CHECK(plan.in_shape.rank == 4);
-  const std::size_t n = plan.in_shape.dim(0);
   const std::size_t hh = plan.in_shape.dim(2), ww = plan.in_shape.dim(3);
   plan.out_shape = plan.in_shape;
-  // scratch[0]: the concatenated max/mean maps [N, 2, H, W];
-  // scratch[1]: the conv output / sigmoid weights [N, 1, H, W].
-  plan.scratch_numel = {n * 2 * hh * ww, n * hh * ww};
+  // scratch[0]: the concatenated max/mean maps [2, H, W];
+  // scratch[1]: the conv output / sigmoid weights [1, H, W].
+  plan.scratch_numel = {2 * hh * ww, hh * ww};
   // The nested conv plans its own im2col scratch as a child.
   InferencePlan child;
-  child.in_shape = {n, 2, hh, ww};
+  child.in_shape = {plan.in_shape.dim(0), 2, hh, ww};
   conv_.plan_inference(child);
   plan.children.push_back(std::move(child));
 }
@@ -120,13 +119,14 @@ void SpatialAttention::plan_inference(InferencePlan& plan) const {
 void SpatialAttention::forward_into(const InferArgs& args) const {
   const std::size_t n = args.x.dim(0), ch = args.x.dim(1),
                     hh = args.x.dim(2), ww = args.x.dim(3);
-  float* maps = args.plan.scratch[0];
-  float* s = args.plan.scratch[1];
+  float* maps = args.scratch(0);
+  float* s = args.scratch(1);
   compute_maps(args.x.data(), n, ch, hh, ww, maps, /*argmax=*/nullptr);
 
   conv_.forward_into(
       {tensor::ConstTensorView(maps, {n, 2, hh, ww}),
-       tensor::TensorView(s, {n, 1, hh, ww}), args.plan.children[0]});
+       tensor::TensorView(s, {n, 1, hh, ww}), args.plan.children[0],
+       args.region});
   for (std::size_t i = 0; i < n * hh * ww; ++i)
     s[i] = 1.0f / (1.0f + std::exp(-s[i]));
 

@@ -208,28 +208,27 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
 void Conv2d::plan_inference(InferencePlan& plan) const {
   DEEPCSI_CHECK(plan.in_shape.rank == 4 &&
                 plan.in_shape.dim(1) == in_channels_);
-  const std::size_t n = plan.in_shape.dim(0);
   const std::size_t hh = plan.in_shape.dim(2), ww = plan.in_shape.dim(3);
-  plan.out_shape = {n, out_channels_, hh, ww};
+  plan.out_shape = {plan.in_shape.dim(0), out_channels_, hh, ww};
   const std::size_t hw = hh * ww;
   const std::size_t ckk = in_channels_ * kh_ * kw_;
-  // Slice [0]: the fp32 im2col columns [N][Cin*kh*kw][H*W].
-  plan.scratch_numel = {n * ckk * hw};
+  // Slice [0]: the fp32 im2col columns [Cin*kh*kw][H*W].
+  plan.scratch_numel = {ckk * hw};
   if (qw_.valid()) {
     // Calibrated layer: stage the quantized path's byte buffers in the
-    // arena too (sizes in floats, rounded up), so int8 steady state is
-    // as allocation-free as fp32. [1] u8 input planes, [2] u8 columns,
-    // [3] the oct-packed GEMM panel (k zero-padded to 8 * ko, columns
-    // padded to a multiple of 8 — see conv_s8u8_batched).
+    // arena too (sizes in floats, each sample's rounded up), so int8
+    // steady state is as allocation-free as fp32. [1] u8 input planes,
+    // [2] u8 columns, [3] the oct-packed GEMM panel (k zero-padded to
+    // 8 * ko, columns padded to a multiple of 8 — see conv_s8u8_batched).
     auto bytes_as_floats = [](std::size_t b) { return (b + 3) / 4; };
     const std::size_t hw_padded = (hw + 7) & ~std::size_t{7};
-    plan.scratch_numel.push_back(bytes_as_floats(n * in_channels_ * hw));
+    plan.scratch_numel.push_back(bytes_as_floats(in_channels_ * hw));
     // Width convs (kh == 1 over height-1 inputs — every conv in the
     // paper model) pack the panel straight from the input planes
     // (conv_s8u8_batched_w), so the u8 im2col slice is not needed.
-    const bool width_conv = kh_ == 1 && plan.in_shape.dim(2) == 1;
-    plan.scratch_numel.push_back(width_conv ? 0 : bytes_as_floats(n * ckk * hw));
-    plan.scratch_numel.push_back(bytes_as_floats(n * 8 * qw_.ko * hw_padded));
+    const bool width_conv = kh_ == 1 && hh == 1;
+    plan.scratch_numel.push_back(width_conv ? 0 : bytes_as_floats(ckk * hw));
+    plan.scratch_numel.push_back(bytes_as_floats(8 * qw_.ko * hw_padded));
   }
 }
 
@@ -243,8 +242,8 @@ void Conv2d::forward_into(const InferArgs& args) const {
     DEEPCSI_CHECK_MSG(args.plan.scratch.size() == 4,
                       "conv2d int8: context planned before calibration");
     const std::size_t hw = hh * ww;
-    auto* xq = reinterpret_cast<std::uint8_t*>(args.plan.scratch[1]);
-    auto* panel = reinterpret_cast<std::uint8_t*>(args.plan.scratch[3]);
+    auto* xq = reinterpret_cast<std::uint8_t*>(args.scratch(1));
+    auto* panel = reinterpret_cast<std::uint8_t*>(args.scratch(3));
     simd::ops().quantize_u8(args.x.data(), n * in_channels_ * hw,
                             qw_.act_inv_scale, xq);
     const RowEpilogue epi =
@@ -257,14 +256,14 @@ void Conv2d::forward_into(const InferArgs& args) const {
                           bias_.value.data(), args.y.data(),
                           out_channels_ * hw, epi);
     } else {
-      auto* cols_u8 = reinterpret_cast<std::uint8_t*>(args.plan.scratch[2]);
+      auto* cols_u8 = reinterpret_cast<std::uint8_t*>(args.scratch(2));
       im2col_u8_into(xq, n, hh, ww, cols_u8);
       conv_s8u8_batched(n, hw, qw_, cols_u8, panel, bias_.value.data(),
                         args.y.data(), out_channels_ * hw, epi);
     }
     return;
   }
-  float* cols = args.plan.scratch[0];
+  float* cols = args.scratch(0);
   im2col_into(args.x.data(), n, hh, ww, cols);
   compute_forward(cols, n, hh, ww, args.y.data(), args.plan.fuse_selu);
 }

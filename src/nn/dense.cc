@@ -54,10 +54,9 @@ void Dense::plan_inference(InferencePlan& plan) const {
   DEEPCSI_CHECK(plan.in_shape.rank == 2 &&
                 plan.in_shape.dim(1) == in_features_);
   plan.out_shape = {plan.in_shape.dim(0), out_features_};
-  // Calibrated layer: one arena slice for the quantized input rows
-  // (bytes as floats, rounded up; rows zero-padded to 8 * ko).
-  if (qw_.valid())
-    plan.scratch_numel = {(plan.in_shape.dim(0) * 8 * qw_.ko + 3) / 4};
+  // Calibrated layer: one arena slice for the quantized input row
+  // (bytes as floats, rounded up; the row zero-padded to 8 * ko).
+  if (qw_.valid()) plan.scratch_numel = {(8 * qw_.ko + 3) / 4};
 }
 
 void Dense::forward_into(const InferArgs& args) const {
@@ -66,7 +65,7 @@ void Dense::forward_into(const InferArgs& args) const {
     // (see Conv2d::forward_into).
     DEEPCSI_CHECK_MSG(args.plan.scratch.size() == 1,
                       "dense int8: context planned before calibration");
-    auto* xq = reinterpret_cast<std::uint8_t*>(args.plan.scratch[0]);
+    auto* xq = reinterpret_cast<std::uint8_t*>(args.scratch(0));
     dense_s8u8(args.x.dim(0), in_features_, qw_, args.x.data(), xq,
                bias_.value.data(), args.y.data());
     return;

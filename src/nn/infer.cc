@@ -1,33 +1,38 @@
 #include "nn/infer.h"
 
+#include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace deepcsi::nn {
 namespace {
 
-// Slices start on 16-float (64-byte) boundaries: one cache line, and
-// vector-width aligned for every ISA the kernels target.
-std::size_t aligned(std::size_t numel) { return (numel + 15) & ~std::size_t{15}; }
-
-std::size_t scratch_floats(const InferencePlan& plan) {
+// Floats one sample's copy of every slice in `plan` (and its children)
+// takes.
+std::size_t scratch_stride(const InferencePlan& plan) {
   std::size_t total = 0;
-  for (std::size_t n : plan.scratch_numel) total += aligned(n);
+  for (std::size_t n : plan.scratch_numel) total += slice_stride(n);
   for (const InferencePlan& child : plan.children)
-    total += scratch_floats(child);
+    total += scratch_stride(child);
   return total;
 }
 
-void resolve_scratch(InferencePlan& plan, float* base, std::size_t& offset) {
+// Slice by slice, each slice holding max_batch copies slice_stride(numel)
+// apart, so a call over consecutive regions sees them as one contiguous
+// buffer.
+void resolve_scratch(InferencePlan& plan, float* base, std::size_t max_batch,
+                     std::size_t& offset) {
   plan.scratch.clear();
   plan.scratch.reserve(plan.scratch_numel.size());
   for (std::size_t n : plan.scratch_numel) {
     plan.scratch.push_back(base + offset);
-    offset += aligned(n);
+    offset += max_batch * slice_stride(n);
   }
   for (InferencePlan& child : plan.children)
-    resolve_scratch(child, base, offset);
+    resolve_scratch(child, base, max_batch, offset);
 }
 
 }  // namespace
@@ -39,19 +44,20 @@ InferenceContext::InferenceContext(const SharedModel& model,
   DEEPCSI_CHECK(max_batch_ >= 1);
   DEEPCSI_CHECK(sample_shape.rank >= 1 &&
                 sample_shape.rank < tensor::kMaxViewRank);
+  const std::size_t n_layers = graph_->num_layers();
+  DEEPCSI_CHECK(n_layers >= 1);
 
-  // Batch-major input shape: [max_batch, sample...].
+  // One-sample input shape: [1, sample...].
   in_shape_.rank = sample_shape.rank + 1;
-  in_shape_.dims[0] = max_batch_;
+  in_shape_.dims[0] = 1;
   for (std::size_t i = 0; i < sample_shape.rank; ++i)
     in_shape_.dims[i + 1] = sample_shape.dims[i];
 
   // One walk over the layer graph: every intermediate shape and scratch
   // requirement is known before a single float is allocated.
-  const std::size_t n_layers = graph_->num_layers();
   steps_.reserve(n_layers);
   tensor::StaticShape shape = in_shape_;
-  std::size_t max_activation = shape.numel();
+  std::size_t max_activation = 0;
   std::size_t total_scratch = 0;
   for (std::size_t i = 0; i < n_layers; ++i) {
     InferencePlan plan;
@@ -59,9 +65,10 @@ InferenceContext::InferenceContext(const SharedModel& model,
     graph_->layer(i).plan_inference(plan);
     shape = plan.out_shape;
     if (shape.numel() > max_activation) max_activation = shape.numel();
-    total_scratch += scratch_floats(plan);
+    total_scratch += max_batch_ * scratch_stride(plan);
     steps_.push_back(std::move(plan));
   }
+  out_shape_ = shape;
 
   // Fuse conv -> selu pairs: the conv applies SELU as its GEMM row
   // epilogue (cache-hot, one arena traversal) and the Selu step is
@@ -77,33 +84,68 @@ InferenceContext::InferenceContext(const SharedModel& model,
       fused_away_[i + 1] = 1;
     }
   }
+  last_step_ = n_layers - 1;
+  while (fused_away_[last_step_]) --last_step_;
 
-  // Arena layout: [input | act A | act B | per-layer scratch...].
-  const std::size_t input_floats = aligned(in_shape_.numel());
-  const std::size_t act_floats = aligned(max_activation);
-  arena_.assign(input_floats + 2 * act_floats + total_scratch, 0.0f);
+  // Arena layout:
+  //   [input | act A | act B | per-layer scratch... | logits]
+  // input and logits are contiguous [max_batch, ...] rows; act A/B and
+  // every scratch slice hold max_batch regions.
+  const std::size_t input_floats = slice_stride(max_batch_ * sample_numel());
+  act_stride_ = slice_stride(max_activation);
+  const std::size_t act_floats = max_batch_ * act_stride_;
+  const std::size_t logits_floats =
+      slice_stride(max_batch_ * out_shape_.numel());
+  arena_.assign(input_floats + 2 * act_floats + total_scratch + logits_floats,
+                0.0f);
   input_ = arena_.data();
   act_[0] = input_ + input_floats;
   act_[1] = act_[0] + act_floats;
   std::size_t offset = input_floats + 2 * act_floats;
   for (InferencePlan& plan : steps_)
-    resolve_scratch(plan, arena_.data(), offset);
-  DEEPCSI_CHECK(offset == arena_.size());
+    resolve_scratch(plan, arena_.data(), max_batch_, offset);
+  logits_ = arena_.data() + offset;
+  DEEPCSI_CHECK(offset + logits_floats == arena_.size());
+}
+
+void InferenceContext::run_sample(std::size_t s, std::size_t region) {
+  tensor::ConstTensorView x(input_ + s * sample_numel(), in_shape_);
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i <= last_step_; ++i) {
+    if (fused_away_[i]) continue;  // selu applied by the previous conv
+    const InferencePlan& plan = steps_[i];
+    float* out = i == last_step_ ? logits_ + s * out_shape_.numel()
+                                 : act_[slot] + region * act_stride_;
+    const tensor::TensorView y(out, plan.out_shape);
+    graph_->layer(i).forward_into({x, y, plan, region});
+    x = tensor::ConstTensorView(y.data(), y.shape());
+    slot ^= 1;
+  }
 }
 
 tensor::ConstTensorView InferenceContext::run(std::size_t n) {
   DEEPCSI_CHECK(n >= 1 && n <= max_batch_);
-  tensor::ConstTensorView x(input_, in_shape_.with_dim0(n));
-  std::size_t slot = 0;
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    if (fused_away_[i]) continue;  // selu applied by the previous conv
-    const InferencePlan& plan = steps_[i];
-    tensor::TensorView y(act_[slot], plan.out_shape.with_dim0(n));
-    graph_->layer(i).forward_into({x, y, plan});
-    x = tensor::ConstTensorView(y.data(), y.shape());
-    slot ^= 1;
+  if (n == 1) {
+    // Each layer fans its own kernels out over the pool.
+    run_sample(0, 0);
+  } else {
+    // One pool job per batch, one chunk per pool thread. A chunk works in
+    // its own region and claims samples one at a time until the batch is
+    // drained: the load balances across threads, and each chunk's
+    // activations and scratch stay hot in its core's cache from one
+    // sample to the next. The layers' nested parallel_for calls run
+    // serially.
+    const std::size_t chunks =
+        std::min(n, static_cast<std::size_t>(common::num_threads()));
+    std::atomic<std::size_t> next{0};
+    common::parallel_for(0, chunks, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t region = lo; region < hi; ++region)
+        for (std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
+             s < n; s = next.fetch_add(1, std::memory_order_relaxed))
+          run_sample(s, region);
+    });
   }
-  return x;
+  return tensor::ConstTensorView(logits_, out_shape_.with_dim0(n));
 }
 
 ContextPool::ContextPool(const SharedModel& model,

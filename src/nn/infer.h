@@ -7,27 +7,55 @@
 //   InferenceContext  — all mutable execution state for one serving lane.
 //                       Built once per (model, max batch): the constructor
 //                       walks the layer graph, asks every layer for its
-//                       output shape and scratch needs via plan_inference,
-//                       and carves input + ping-pong activations + every
-//                       scratch slice (im2col columns, attention maps, ...)
-//                       out of ONE contiguous arena. Layers carrying
-//                       calibrated int8 weights (nn/quantize.h) report
-//                       extra byte-sized slices here — quantized inputs,
-//                       u8 im2col columns, the oct-packed GEMM panel —
-//                       so the avx2_int8 backend stays zero-alloc too;
-//                       contexts planned BEFORE calibration lack those
-//                       slices and must be rebuilt. After a warm-up run,
-//                       run(n) performs zero heap allocations.
+//                       per-sample output shape and scratch needs via
+//                       plan_inference, and carves input + ping-pong
+//                       activations + logits + every scratch slice (im2col
+//                       columns, attention maps, ...) out of ONE contiguous
+//                       arena. Layers carrying calibrated int8 weights
+//                       (nn/quantize.h) report extra byte-sized slices here
+//                       — quantized inputs, u8 im2col columns, the
+//                       oct-packed GEMM panel — so the avx2_int8 backend
+//                       stays zero-alloc too; contexts planned BEFORE
+//                       calibration lack those slices and must be rebuilt.
+//                       After a warm-up run, run(n) performs zero heap
+//                       allocations.
 //   ContextPool       — a freelist of contexts behind a mutex with an RAII
 //                       Lease, so any number of threads can run forward
 //                       passes on one SharedModel concurrently; contexts
 //                       are built on demand and reused forever after.
 //
+// Execution: run(n) splits a batch by sample, not by layer. For n >= 2 it
+// is ONE parallel_for with one chunk per pool thread (at most n); each
+// chunk claims samples one at a time and runs the whole layer chain for
+// each, and the layers' own parallel_for calls take the nested path and
+// run serially — no per-layer barrier, and a sample's activations stay
+// on the core that made them. For n == 1 the chain runs directly, so
+// each layer still fans its kernels out over the pool and batch-1
+// latency keeps the whole pool.
+//
+// Arena layout:
+//   [input | act A | act B | scratch slices... | logits]
+//   - input: contiguous [max_batch, sample...] rows (the caller fills it);
+//   - act A / act B: the ping-pong activations, each cut into max_batch
+//     fixed regions, each the size of the largest per-sample activation
+//     (rounded to a cache line);
+//   - scratch: every slice a layer planned for one sample, max_batch
+//     copies of it; a layer finds its region's copy through the region
+//     index in InferArgs;
+//   - logits: the last layer writes each sample's row into a contiguous
+//     [max_batch, K] slice, so run() returns one [n, K] view.
+// Chunk c works only in region c of every buffer, so a chunk at layer 5
+// never overwrites another chunk still at layer 1, and it reuses the
+// same (cache-hot) region for every sample it claims. Chunks never
+// outnumber the batch, so max_batch regions always suffice, whatever the
+// pool size.
+//
 // Determinism: forward_into reuses the exact kernels of the stateful
 // train-path forward (same parallel_for chunking, same accumulation
-// order), so context output is bitwise identical to
+// order), and a sample's output does not depend on the rows beside it,
+// so context output is bitwise identical to
 // Sequential::forward(x, /*training=*/false) for any DEEPCSI_THREADS and
-// any batch chunking.
+// any batch size or chunking.
 #pragma once
 
 #include <cstddef>
@@ -89,16 +117,23 @@ class InferenceContext {
   tensor::ConstTensorView run(std::size_t n);
 
  private:
+  // The whole layer chain for row s, in the given arena region.
+  void run_sample(std::size_t s, std::size_t region);
+
   std::shared_ptr<const Sequential> graph_;
   std::size_t max_batch_;
-  tensor::StaticShape in_shape_;  // [max_batch, sample...]
+  tensor::StaticShape in_shape_;   // [1, sample...]
+  tensor::StaticShape out_shape_;  // [1, K]
   std::vector<InferencePlan> steps_;
   // Steps absorbed into their predecessor (a Selu fused into the
   // preceding Conv2d's GEMM epilogue); run() skips them.
   std::vector<unsigned char> fused_away_;
+  std::size_t last_step_ = 0;   // the step that writes logits_
+  std::size_t act_stride_ = 0;  // floats per region of act_[i]
   std::vector<float> arena_;
   float* input_ = nullptr;
   float* act_[2] = {nullptr, nullptr};  // ping-pong activation slices
+  float* logits_ = nullptr;
 };
 
 class ContextPool {

@@ -5,9 +5,9 @@
 //   * The stateful train path — forward(x, training) caches whatever the
 //     backward pass needs (inputs, im2col columns, pool argmaxes), then
 //     backward() consumes it. Owned by Trainer; never safe to share.
-//   * The const serve path — plan_inference() describes, for a fixed max
-//     batch, every intermediate shape and scratch buffer the layer needs,
-//     and forward_into() executes against pre-resolved arena slices
+//   * The const serve path — plan_inference() describes, for one sample,
+//     every intermediate shape and scratch buffer the layer needs, and
+//     forward_into() executes against pre-resolved arena slices
 //     without mutating the layer. This is what SharedModel /
 //     InferenceContext (nn/infer.h) build on: immutable weights, all
 //     execution state in the per-thread context, zero steady-state heap
@@ -38,14 +38,26 @@ struct Param {
   std::size_t numel() const { return value.numel(); }
 };
 
+// Floats between consecutive copies of one arena slice: the per-sample
+// count rounded up to 16 floats, so every copy starts on its own 64-byte
+// cache line and vector-width boundary.
+inline std::size_t slice_stride(std::size_t numel) {
+  return (numel + 15) & ~std::size_t{15};
+}
+
 // One layer's slot in an inference plan. Built once per InferenceContext
-// (heap use is fine there); immutable during forward_into.
+// (heap use is fine there); immutable during forward_into. Plans are per
+// sample: the context runs a batch one sample at a time, and each chunk
+// of that work runs in its own region of the arena, with its own copy of
+// every scratch slice.
 struct InferencePlan {
-  tensor::StaticShape in_shape;   // dim0 = the plan's max batch
+  tensor::StaticShape in_shape;   // dim0 = 1: one sample
   tensor::StaticShape out_shape;  // filled by plan_inference
-  // Scratch slices the layer needs, as float counts at planned max batch;
-  // the context carves them from the arena and resolves the pointers.
+  // Scratch slices the layer needs, as float counts for ONE sample; the
+  // context carves max_batch copies of each, slice_stride(numel) apart,
+  // from the arena.
   std::vector<std::size_t> scratch_numel;
+  // Region 0's copy of each slice (see InferArgs::scratch).
   std::vector<float*> scratch;
   // Set by InferenceContext when this layer is a Conv2d immediately
   // followed by a Selu: the conv applies the activation as a fused
@@ -60,13 +72,20 @@ struct InferencePlan {
   std::vector<InferencePlan> children;
 };
 
-// Arguments of one const forward step. x/y are arena slices re-batched to
-// the actual n (= x.dim(0)) <= plan.in_shape.dim(0); all other dims match
-// the plan.
+// Arguments of one const forward step. x/y are the rows being run; all
+// dims but dim0 match the plan. The rows use scratch regions
+// [region, region + x.dim(0)), reached through scratch(k).
 struct InferArgs {
   tensor::ConstTensorView x;
   tensor::TensorView y;
   const InferencePlan& plan;
+  std::size_t region = 0;  // scratch region of x's first row
+
+  // Slice k for this call's rows: x.dim(0) consecutive per-sample copies,
+  // which the layer may use as one contiguous buffer.
+  float* scratch(std::size_t k) const {
+    return plan.scratch[k] + region * slice_stride(plan.scratch_numel[k]);
+  }
 };
 
 class Layer {
@@ -86,8 +105,9 @@ class Layer {
   virtual void plan_inference(InferencePlan& plan) const = 0;
 
   // Const forward for serving: read args.x, write args.y, using only the
-  // pre-planned scratch in args.plan. Never allocates, never mutates the
-  // layer, and is bitwise identical to forward(x, /*training=*/false).
+  // pre-planned scratch reached through args.scratch(k). Never allocates,
+  // never mutates the layer, and is bitwise identical to
+  // forward(x, /*training=*/false).
   virtual void forward_into(const InferArgs& args) const = 0;
 
   virtual std::vector<Param*> params() { return {}; }

@@ -9,10 +9,14 @@
 //   3. One shared const Authenticator can be hammered by racing
 //      classify_batch callers and still produce bit-identical predictions
 //      (the CI TSan job additionally proves the race-freedom claim).
+//   4. run(n) splits the batch by sample, and concurrent chunks never
+//      share an arena region, so each row of run(n) equals run(1) of
+//      that row alone under every backend and thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <random>
 #include <span>
@@ -24,7 +28,9 @@
 #include "core/pipeline.h"
 #include "dataset/features.h"
 #include "dataset/traces.h"
+#include "nn/gemm.h"
 #include "nn/infer.h"
+#include "nn/quantize.h"
 #include "phy/impairments.h"
 #include "test_util.h"
 
@@ -149,6 +155,58 @@ TEST(InferContextTest, SmallerBatchesReuseTheSamePlanBitIdentically) {
   ASSERT_EQ(logits.numel(), reference.numel());
   for (std::size_t i = 0; i < reference.numel(); ++i)
     ASSERT_EQ(logits.data()[i], reference[i]) << i;
+}
+
+TEST(InferContextTest, EveryRowOfABatchEqualsItsRowRunAlone) {
+  ThreadGuard thread_guard;
+  tests::BackendGuard backend_guard;
+  const dataset::InputSpec spec = test_spec();
+  const std::size_t max_batch = 9;
+
+  // Calibrated, so avx2_int8 takes the quantized path.
+  nn::Sequential graph = build_test_model(spec);
+  nn::apply_calibration(
+      graph, nn::calibrate_input_ranges(graph, random_input(spec, 32, 3)));
+  const nn::SharedModel shared(std::move(graph));
+  const nn::Tensor x = random_input(spec, max_batch, 19);
+  const std::size_t sample = x.numel() / max_batch;
+
+  for (const simd::Backend backend : tests::available_backends()) {
+    ASSERT_TRUE(simd::set_active(backend));
+    for (const int threads : {1, 4}) {
+      common::set_num_threads(threads);
+      nn::InferenceContext ctx(shared, sample_shape(spec), max_batch);
+
+      // Each row alone, through the n == 1 path.
+      nn::Tensor alone;
+      for (std::size_t r = 0; r < max_batch; ++r) {
+        std::memcpy(ctx.input(), x.data() + r * sample,
+                    sample * sizeof(float));
+        const std::uint64_t before = nn::int8_kernel_dispatches();
+        const tensor::ConstTensorView logits = ctx.run(1);
+        if (backend == simd::Backend::kAvx2Int8) {
+          ASSERT_GT(nn::int8_kernel_dispatches(), before);
+        }
+        if (alone.empty()) alone = nn::Tensor({max_batch, logits.dim(1)});
+        std::memcpy(alone.data() + r * logits.dim(1), logits.data(),
+                    logits.dim(1) * sizeof(float));
+      }
+
+      for (const std::size_t n :
+           {std::size_t{2}, std::size_t{3}, std::size_t{7}, max_batch}) {
+        std::memcpy(ctx.input(), x.data(), n * sample * sizeof(float));
+        const tensor::ConstTensorView logits = ctx.run(n);
+        ASSERT_EQ(logits.dim(0), n);
+        const std::size_t k = logits.dim(1);
+        for (std::size_t r = 0; r < n; ++r)
+          ASSERT_EQ(std::memcmp(logits.data() + r * k, alone.data() + r * k,
+                                k * sizeof(float)),
+                    0)
+              << "row " << r << " of batch " << n << ", backend "
+              << simd::name(backend) << ", " << threads << " threads";
+      }
+    }
+  }
 }
 
 TEST(InferContextTest, SteadyStateRunIsAllocationFree) {

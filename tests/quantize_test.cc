@@ -58,11 +58,11 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed,
 // --------------------------------------------------- weight quantization
 
 TEST(QuantizeWeightsTest, RoundTripErrorWithinHalfAScaleStep) {
-  for (const auto [rows, k] : {std::pair<std::size_t, std::size_t>{1, 1},
-                               {3, 7},
-                               {32, 63},
-                               {17, 449},
-                               {128, 896}}) {
+  for (const auto& [rows, k] : {std::pair<std::size_t, std::size_t>{1, 1},
+                                {3, 7},
+                                {32, 63},
+                                {17, 449},
+                                {128, 896}}) {
     const std::vector<float> w = random_vec(rows * k, 7 * rows + k);
     const nn::QuantizedWeights q = nn::quantize_weights(w.data(), rows, k, 2.5f);
     ASSERT_TRUE(q.valid());
@@ -207,7 +207,7 @@ TEST(CalibrationSidecarTest, RefusesCorruptTruncatedAndForeignFiles) {
 
 TEST(Int8GemmTest, DenseAgreesWithFp32WithinCalibratedTolerance) {
   std::mt19937_64 rng(42);
-  for (const auto [n_batch, rows, k] :
+  for (const auto& [n_batch, rows, k] :
        {std::tuple<std::size_t, std::size_t, std::size_t>{1, 1, 4},
         {2, 5, 31},
         {7, 32, 64},
@@ -296,7 +296,7 @@ TEST(Int8KernelTest, Avx2KernelsBitIdenticalToScalarReference) {
   // remainder, single column), the 4-row blocks, and odd/even oct
   // counts. Outputs must be byte-identical. The panel follows the
   // oct-packed contract: np column units per oct, pad columns zero.
-  for (const auto [nrows, n, ko] :
+  for (const auto& [nrows, n, ko] :
        {std::tuple<std::size_t, std::size_t, std::size_t>{1, 1, 1},
         {4, 16, 3},
         {5, 17, 7},
@@ -344,7 +344,7 @@ TEST(Int8KernelTest, Avx2KernelsBitIdenticalToScalarReference) {
 TEST(Int8ConvTest, WidthConvPackBitIdenticalToIm2colRoute) {
   std::mt19937_64 rng(555);
   std::uniform_int_distribution<int> xd(1, 255);
-  for (const auto [batch, cin, ww, kw, rows] :
+  for (const auto& [batch, cin, ww, kw, rows] :
        {std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
                    std::size_t>{2, 3, 12, 5, 4},
         {3, 4, 117, 7, 16},

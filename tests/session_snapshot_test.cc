@@ -148,8 +148,9 @@ TEST(SessionSnapshotTest, CorruptionIsRefusedWholeAndTheTableKeepsItsState) {
   const auto write_variant = [&](std::vector<std::uint8_t> bytes) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    if (!bytes.empty())
+    if (!bytes.empty()) {
       ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    }
     std::fclose(f);
   };
 
