@@ -8,18 +8,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "common/parallel.h"
 #include "core/pipeline.h"
 #include "dataset/scale.h"
 #include "dataset/splits.h"
-#include "nn/gemm.h"
-#include "nn/simd.h"
 
 namespace deepcsi::bench {
 
@@ -35,128 +28,6 @@ class Stopwatch {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-// Machine-readable companion to the printed rows: collects metrics and
-// writes BENCH_<name>.json next to the binary, one object per metric with
-// numeric attributes (thread count, batch size, ...). This seeds the
-// repo's perf trajectory — CI archives the file per commit.
-class BenchReport {
- public:
-  explicit BenchReport(std::string name) : name_(std::move(name)) {}
-
-  void add_metric(
-      const std::string& metric, double value, const std::string& unit,
-      std::vector<std::pair<std::string, double>> attrs = {}) {
-    metrics_.push_back({metric, unit, value, std::move(attrs)});
-  }
-
-  std::string to_json() const {
-    std::ostringstream os;
-    os.precision(17);  // round-trip doubles: the trajectory must not quantize
-    os << "{\n  \"bench\": \"" << name_ << "\",\n"
-       << "  \"scale\": \""
-       << (dataset::full_scale_selected() ? "full" : "quick") << "\",\n"
-       << "  \"default_threads\": " << common::num_threads() << ",\n"
-       << "  \"metrics\": [\n";
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-      const Metric& m = metrics_[i];
-      os << "    {\"name\": \"" << m.name << "\", \"unit\": \"" << m.unit
-         << "\", \"value\": " << m.value;
-      for (const auto& [k, v] : m.attrs) os << ", \"" << k << "\": " << v;
-      os << "}" << (i + 1 < metrics_.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    return os.str();
-  }
-
-  // Writes BENCH_<name>.json in the working directory.
-  void write_json() const {
-    const std::string path = "BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    out << to_json();
-    out.flush();
-    std::printf(out ? "wrote %s\n" : "FAILED to write %s\n", path.c_str());
-    std::fflush(stdout);
-  }
-
- private:
-  struct Metric {
-    std::string name, unit;
-    double value;
-    std::vector<std::pair<std::string, double>> attrs;
-  };
-  std::string name_;
-  std::vector<Metric> metrics_;
-};
-
-// Shared per-SIMD-backend sweep protocol for the throughput benches:
-// for every backend the host can run, measure() returns a reports/s
-// rate (printed as a row and recorded as `metric` with a `backend`
-// attribute plus `extra_attrs`), then classify() returns predictions
-// whose argmax verdicts must agree across backends (the cross-backend
-// contract; recorded as the bool metric "backend_verdicts_match").
-// Restores the previously active backend. Returns false when verdicts
-// diverged — callers ride that on their exit code.
-//
-// Honesty check for the quantized backend: while measuring avx2_int8
-// the int8 driver dispatch counter (nn/gemm.h) must move — an "int8"
-// row that silently ran the fp32 path (uncalibrated model, stale
-// context pool) would invalidate the comparison, so it fails the sweep
-// instead. `rates` (optional) receives each backend's measured rate so
-// callers can gate ratios (bench_infer's >= 2x int8-vs-fp32 gate).
-template <typename MeasureFn, typename ClassifyFn>
-bool sweep_simd_backends(
-    BenchReport& report, const std::string& metric,
-    std::vector<std::pair<std::string, double>> extra_attrs,
-    MeasureFn&& measure, ClassifyFn&& classify,
-    std::vector<std::pair<simd::Backend, double>>* rates = nullptr) {
-  const std::vector<simd::Backend> backends = simd::available_backends();
-  if (backends.size() < 2)
-    std::printf("NOTE: avx2 backend unavailable on this host — %s has only "
-                "the scalar row\n",
-                metric.c_str());
-  const simd::Backend saved = simd::active();
-  double scalar_rate = 0.0;
-  bool verdicts_match = true;
-  bool int8_honest = true;
-  std::vector<core::Authenticator::Prediction> reference;
-  for (const simd::Backend backend : backends) {
-    simd::set_active(backend);
-    const std::uint64_t int8_before = nn::int8_kernel_dispatches();
-    const double rate = measure();
-    if (backend == simd::Backend::kAvx2Int8 &&
-        nn::int8_kernel_dispatches() == int8_before) {
-      std::printf("  %-10s FAIL: int8 kernels never dispatched (uncalibrated "
-                  "model or stale context pool?)\n",
-                  simd::name(backend));
-      int8_honest = false;
-    }
-    if (backend == simd::Backend::kScalar) scalar_rate = rate;
-    std::printf("  %-10s %14.1f reports/s  (%.2fx scalar)\n",
-                simd::name(backend), rate,
-                scalar_rate > 0.0 ? rate / scalar_rate : 0.0);
-    std::vector<std::pair<std::string, double>> attrs = extra_attrs;
-    attrs.insert(attrs.begin(),
-                 {"backend", static_cast<double>(backend)});
-    report.add_metric(metric, rate, "reports/s", std::move(attrs));
-    if (rates != nullptr) rates->push_back({backend, rate});
-    const std::vector<core::Authenticator::Prediction> preds = classify();
-    if (reference.empty()) {
-      reference = preds;
-    } else {
-      for (std::size_t i = 0; i < preds.size(); ++i)
-        if (preds[i].module_id != reference[i].module_id)
-          verdicts_match = false;
-    }
-  }
-  simd::set_active(saved);
-  std::printf("classify verdicts match across backends: %s\n",
-              verdicts_match ? "yes" : "NO");
-  report.add_metric("backend_verdicts_match", verdicts_match ? 1.0 : 0.0,
-                    "bool");
-  std::fflush(stdout);
-  return verdicts_match && int8_honest;
-}
 
 inline void print_header(const std::string& figure, const std::string& what) {
   std::printf("==============================================================\n");

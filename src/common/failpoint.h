@@ -35,7 +35,7 @@
 //
 // Cost when a site is not armed: one relaxed atomic load, no branches
 // taken, no locks — cheap enough to leave compiled into release builds
-// (bench_net publishes the measured per-check cost).
+// (perf_gate_test holds the measured per-check cost to 10 ns).
 #pragma once
 
 #include <atomic>

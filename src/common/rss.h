@@ -1,5 +1,5 @@
 // Process resident-set-size probe, for the memory-ceiling checks in the
-// fleet soak (bench_fleet) and the serve stats block. Linux-only in
+// fleet soak (perf_gate_test) and the serve stats block. Linux-only in
 // practice (/proc/self/status); elsewhere it degrades to 0 so callers can
 // gate on "unavailable" instead of failing.
 #pragma once

@@ -1,5 +1,5 @@
 // Client side of the wire protocol: NetClient streams feedback-report
-// frames into a TcpIngestServer (the replay driver and bench_net use
+// frames into a TcpIngestServer (the replay driver and perfbench use
 // it), and VerdictSubscriber consumes the VerdictPublisher stream.
 // Both are deliberately simple blocking wrappers — backpressure from a
 // paused server surfaces as send() blocking in the kernel, which is

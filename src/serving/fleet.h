@@ -1,7 +1,7 @@
 // Synthetic fleet driver: feedback traffic for 10^5..10^6 DISTINCT
 // beamformees, generated through the real PHY stack and replayed through
 // a running AuthService — the scale harness behind `deepcsi fleet` and
-// bench_fleet.
+// perf_gate_test's fleet soak.
 //
 // Generating a full channel->sounding->SVD->quantization pass per station
 // would melt at a million stations, so the generator works from a

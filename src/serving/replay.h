@@ -1,7 +1,7 @@
 // Capture replay driver: feeds an observed-feedback sequence (usually a
 // decoded pcap) through a running AuthService — optionally looped and
 // rate-limited, from one or many producer threads. This is the harness
-// behind `deepcsi serve` and bench_serving: it simulates the live
+// behind `deepcsi serve` and the serving tests: it simulates the live
 // monitor-mode firehose the service is built for without needing radio
 // hardware in CI.
 #pragma once

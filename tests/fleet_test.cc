@@ -2,7 +2,8 @@
 // function of its config (bit-identical reports across instances and
 // runs), model its scenario knobs (mobility churn, cross-beamformee
 // confusion) observably, and soak a bounded AuthService end to end with
-// survivor verdicts bit-identical to an unbounded run.
+// survivor verdicts bit-identical to an unbounded run, and resident
+// verdicts under avx2_int8 equal to the fp32 avx2 run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,8 +14,12 @@
 #include "core/pipeline.h"
 #include "dataset/features.h"
 #include "feedback/bitpack.h"
+#include "nn/gemm.h"
+#include "nn/simd.h"
 #include "serving/fleet.h"
 #include "serving/service.h"
+#include "fleet_model.h"
+#include "test_util.h"
 
 namespace deepcsi {
 namespace {
@@ -204,6 +209,60 @@ TEST(FleetTest, ResidentVerdictsAreBitIdenticalToAnUnboundedService) {
     EXPECT_EQ(v.total_reports, r.total_reports);
     EXPECT_EQ(v.mean_confidence, r.mean_confidence);  // bit-exact
     EXPECT_EQ(v.last_timestamp_s, r.last_timestamp_s);
+  }
+}
+
+// The accuracy-parity contract at fleet scale: every resident station's
+// verdict under avx2_int8 equals the fp32 avx2 run exactly — module,
+// votes, window, report count and timestamp. mean_confidence is left
+// out: int8 logits differ from fp32 in low-order bits by design, and
+// the contract preserves classifications, not probabilities. The table
+// is unbounded so both runs keep every station: under an LRU ceiling
+// the resident set depends on the producer/consumer interleaving, not
+// the backend, and a set diff would mask the verdict diff.
+TEST(FleetTest, Int8ResidentVerdictsMatchTheFp32Avx2Run) {
+  if (!tests::has_backend(simd::Backend::kAvx2Int8))
+    GTEST_SKIP() << "avx2_int8 unavailable on this host/build";
+  tests::BackendGuard backend_guard;
+  const core::Authenticator auth = tests::train_fleet_template_authenticator();
+
+  FleetConfig fc;
+  fc.stations = 2000;
+  fc.reports_per_station = 1;
+  const FleetGenerator gen(fc);
+  serving::ServiceConfig cfg;
+  cfg.queue_capacity = 1024;
+  cfg.scheduler.max_batch = 64;
+  cfg.consumers = 2;
+  cfg.sessions.window = 31;
+  cfg.sessions.num_shards = 8;
+  cfg.sessions.max_stations = 0;  // unbounded: resident set == fleet
+
+  std::map<std::uint64_t, serving::StationVerdict> fp32;
+  std::map<std::uint64_t, serving::StationVerdict> int8;
+  std::uint64_t int8_dispatches = 0;
+  for (const simd::Backend backend :
+       {simd::Backend::kAvx2, simd::Backend::kAvx2Int8}) {
+    ASSERT_TRUE(simd::set_active(backend));
+    const std::uint64_t before = nn::int8_kernel_dispatches();
+    serving::AuthService service(auth, cfg);
+    serving::run_fleet(service, gen, /*producers=*/2);
+    auto& dst = backend == simd::Backend::kAvx2 ? fp32 : int8;
+    for (const serving::StationVerdict& v : service.sessions().snapshot())
+      dst[v.station.to_u64()] = v;
+    if (backend == simd::Backend::kAvx2Int8)
+      int8_dispatches = nn::int8_kernel_dispatches() - before;
+  }
+  EXPECT_GT(int8_dispatches, 0u) << "int8 kernels never dispatched";
+  ASSERT_EQ(fp32.size(), fc.stations);
+  ASSERT_EQ(int8.size(), fp32.size());
+  for (const auto& [station, v] : int8) {
+    const serving::StationVerdict& r = fp32.at(station);
+    EXPECT_EQ(v.module_id, r.module_id) << "station " << station;
+    EXPECT_EQ(v.votes, r.votes) << "station " << station;
+    EXPECT_EQ(v.window_size, r.window_size) << "station " << station;
+    EXPECT_EQ(v.total_reports, r.total_reports) << "station " << station;
+    EXPECT_EQ(v.last_timestamp_s, r.last_timestamp_s) << "station " << station;
   }
 }
 

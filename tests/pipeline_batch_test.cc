@@ -1,9 +1,11 @@
 // Batched serving API: classify_batch must match per-report classify
 // bit-for-bit, at any thread count, under every available SIMD backend
 // (within a backend the kernels are deterministic; the backend loops here
-// pin that for the whole ingest->classify pipeline).
+// pin that for the whole ingest->classify pipeline), and verdicts must
+// agree across backends, the calibrated int8 one included.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/parallel.h"
@@ -11,6 +13,7 @@
 #include "core/pipeline.h"
 #include "dataset/features.h"
 #include "dataset/traces.h"
+#include "nn/gemm.h"
 #include "nn/simd.h"
 #include "phy/impairments.h"
 #include "test_util.h"
@@ -89,28 +92,49 @@ TEST(PipelineBatchTest, BatchBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(PipelineBatchTest, ClassifyVerdictsAgreeAcrossBackends) {
-  // Cross-backend contract: activations may differ by FMA rounding, but
-  // the argmax verdict a deployment acts on must not flip.
+  // Cross-backend contract: activations may differ by FMA rounding, and
+  // under avx2_int8 by quantization error, but the argmax verdict a
+  // deployment acts on must not flip.
   BackendGuard backend_guard;
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = make_authenticator(spec);
   const auto reports = make_reports();
   const auto backends = available_backends();
   if (backends.size() < 2) GTEST_SKIP() << "only one backend available";
+
+  // Calibrate on these very reports, so the avx2_int8 pass runs the
+  // quantized layers instead of the fp32 fallback an uncalibrated model
+  // takes. Calibration is inert under the fp32 backends.
+  const std::size_t c =
+      static_cast<std::size_t>(dataset::num_input_channels(spec));
+  const std::size_t w = dataset::num_input_columns(spec);
+  nn::Tensor features({reports.size(), c, 1, w});
+  for (std::size_t i = 0; i < reports.size(); ++i)
+    dataset::fill_features(reports[i], spec, features.data() + i * c * w);
+  auth.calibrate_int8(features);
 
   ASSERT_TRUE(simd::set_active(backends[0]));
   const auto reference = auth.classify_batch(reports);
   for (std::size_t b = 1; b < backends.size(); ++b) {
     ASSERT_TRUE(simd::set_active(backends[b]));
+    const bool int8 = backends[b] == simd::Backend::kAvx2Int8;
+    const std::uint64_t int8_before = nn::int8_kernel_dispatches();
     const auto other = auth.classify_batch(reports);
+    if (int8) {
+      EXPECT_GT(nn::int8_kernel_dispatches(), int8_before)
+          << "int8 kernels never dispatched";
+    }
     ASSERT_EQ(other.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
       EXPECT_EQ(other[i].module_id, reference[i].module_id)
           << simd::name(backends[b]) << " report " << i;
-      // Confidence is a softmax output; backends agree to float rounding.
-      EXPECT_NEAR(other[i].confidence, reference[i].confidence, 1e-4)
-          << simd::name(backends[b]) << " report " << i;
+      // Confidence is a softmax output; the fp32 backends agree to float
+      // rounding. int8 keeps verdicts, not probabilities.
+      if (!int8) {
+        EXPECT_NEAR(other[i].confidence, reference[i].confidence, 1e-4)
+            << simd::name(backends[b]) << " report " << i;
+      }
     }
   }
 }

@@ -1,6 +1,9 @@
 // Shared helpers for the test binaries.
 #pragma once
 
+#include <algorithm>
+#include <vector>
+
 #include "common/parallel.h"
 #include "nn/simd.h"
 
@@ -33,5 +36,10 @@ class BackendGuard {
 // Tests loop over simd::available_backends() so the same bit-identity
 // contracts are pinned under every backend the host can run.
 using simd::available_backends;
+
+inline bool has_backend(simd::Backend b) {
+  const std::vector<simd::Backend> avail = simd::available_backends();
+  return std::find(avail.begin(), avail.end(), b) != avail.end();
+}
 
 }  // namespace deepcsi::tests
