@@ -109,7 +109,7 @@ void SpatialAttention::plan_inference(InferencePlan& plan) const {
   // scratch[0]: the concatenated max/mean maps [2, H, W];
   // scratch[1]: the conv output / sigmoid weights [1, H, W].
   plan.scratch_numel = {2 * hh * ww, hh * ww};
-  // The nested conv plans its own im2col scratch as a child.
+  // The nested conv plans its own scratch (int8 only) as a child.
   InferencePlan child;
   child.in_shape = {plan.in_shape.dim(0), 2, hh, ww};
   conv_.plan_inference(child);

@@ -1,13 +1,14 @@
 // 2-D convolution over NCHW tensors with 'same' zero padding and stride 1.
 //
-// Implemented as im2col + the shared row-parallel GEMM kernel: each
-// sample's receptive fields are unrolled into a [Cin*kh*kw, H*W] column
-// matrix, so forward is one weight-by-columns GEMM and backward is the
-// transposed pair plus a col2im scatter: the weight gradient reduces the
-// batch in one blocked GEMM over the transposed columns, the column
-// gradient is W^T times the output gradient. All stages run over the
-// global thread pool with deterministic partitioning — outputs are
-// bit-identical for any DEEPCSI_THREADS.
+// Forward is one weight-by-columns GEMM over each sample's [Cin*kh*kw,
+// H*W] im2col matrix, whose B tiles conv_f32_batched (nn/gemm.h) packs
+// straight from the input planes, so no column matrix is built. Backward
+// builds the transposed columns from the cached input (im2row): the
+// weight gradient reduces the batch in one blocked GEMM over them, the
+// column gradient is W^T times the output gradient, scattered back by
+// col2im.
+// All stages run over the global thread pool with deterministic
+// partitioning — outputs are bit-identical for any DEEPCSI_THREADS.
 //
 // The DeepCSI classifier convolves only along the sub-carrier axis
 // (kernels (1,7)/(1,5)/(1,3)); the kernels here stay general (kh, kw).
@@ -17,6 +18,7 @@
 #include <random>
 #include <vector>
 
+#include "nn/gemm.h"
 #include "nn/layer.h"
 #include "nn/quantize.h"
 
@@ -54,30 +56,14 @@ class Conv2d final : public Layer {
   std::size_t pad_h_, pad_w_;
   Param weight_;  // [out, in, kh, kw]
   Param bias_;    // [out]
-  // Unrolls x into [N][Cin*kh*kw][H*W] column rows (parallel per row).
-  void im2col(const Tensor& x, std::vector<float>& cols) const;
-  // The raw kernels shared by both forward paths (train caches feed off
-  // the same routines, so serve output is bitwise identical).
-  void im2col_into(const float* x, std::size_t n_batch, std::size_t hh,
-                   std::size_t ww, float* cols) const;
-  // u8 twin of im2col_into for the quantized path: same tap geometry,
-  // padding byte 128 (the u8 encoding of 0.0f — see nn/quantize.h).
-  void im2col_u8_into(const std::uint8_t* x, std::size_t n_batch,
-                      std::size_t hh, std::size_t ww,
-                      std::uint8_t* cols) const;
-  // fuse_selu applies SELU as the GEMM's per-row epilogue (the fused
-  // conv->bias->SELU serve path planned by InferenceContext).
-  void compute_forward(const float* cols, std::size_t n_batch, std::size_t hh,
-                       std::size_t ww, float* out,
-                       bool fuse_selu = false) const;
+  // The im2col geometry of one sample of an hh x ww input.
+  ConvShape shape(std::size_t hh, std::size_t ww) const {
+    return {in_channels_, hh, ww, kh_, kw_, pad_h_, pad_w_};
+  }
 
   QuantizedWeights qw_;  // empty until prepare_int8
 
   Tensor cached_x_;
-  // im2col of cached_x_, shared by both modes: backward's weight-gradient
-  // GEMM consumes it after training-mode forward; inference reuses its
-  // capacity across calls and drops oversized leftovers on transition.
-  std::vector<float> cached_cols_;
   // Backward scratch: first the transposed columns, then the column
   // gradients.
   std::vector<float> col_grad_scratch_;

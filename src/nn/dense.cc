@@ -80,10 +80,11 @@ Tensor Dense::backward(const Tensor& grad_out) {
                 grad_out.dim(0) == x.dim(0));
   const std::size_t n_batch = x.dim(0);
 
-  // grad_in = grad_out * W.
+  // grad_in = grad_out * W, accumulated into the zero tensor.
   Tensor grad_in({n_batch, in_features_});
-  gemm_nn(n_batch, in_features_, out_features_, grad_out.data(),
-          weight_.value.data(), grad_in.data(), /*accumulate=*/false);
+  gemm_nn_batch_reduce(1, n_batch, in_features_, out_features_,
+                       grad_out.data(), 0, weight_.value.data(), 0,
+                       grad_in.data());
 
   // grad_W += grad_out^T * x.
   gemm_tn(out_features_, in_features_, n_batch, grad_out.data(), x.data(),

@@ -55,48 +55,95 @@ std::vector<float>& pack_scratch() {
   return buf;
 }
 
-// Copy B rows [k0, k1) (each n wide, stride n) into the packed panel.
-inline const float* pack_b_tile(const float* __restrict b, std::size_t n,
-                                std::size_t k0, std::size_t k1,
-                                std::vector<float>& pack) {
-  const std::size_t ldp = packed_stride(n);
-  pack.resize(ldp * (k1 - k0));
-  for (std::size_t kk = k0; kk < k1; ++kk)
-    std::copy(b + kk * n, b + kk * n + n, pack.data() + (kk - k0) * ldp);
-  return pack.data();
+// Valid output span [lo, hi) of a tap offset d along an axis of `size`
+// under 'same' padding: output index h reads input h + d, so
+// 0 <= h + d < size.
+struct TapSpan {
+  std::size_t lo, hi;
+};
+
+inline TapSpan tap_span(std::ptrdiff_t d, std::size_t size) {
+  TapSpan s{0, size};
+  if (d < 0) s.lo = std::min(static_cast<std::size_t>(-d), size);
+  if (d > 0)
+    s.hi = size > static_cast<std::size_t>(d)
+               ? size - static_cast<std::size_t>(d)
+               : 0;
+  return s;
 }
 
+// One im2col row: `plane` ([hh][ww]) shifted by the tap offset (dh, dw)
+// into dst[0, hh * ww), `pad` outside the image. Only the border is
+// filled with `pad` — for 'same' padding it is a few columns wide — and
+// each output row's in-image span is one contiguous copy.
+template <typename T>
+inline void tap_row(const T* __restrict plane, std::size_t hh, std::size_t ww,
+                    std::ptrdiff_t dh, std::ptrdiff_t dw, T pad,
+                    T* __restrict dst) {
+  const TapSpan hs = tap_span(dh, hh), ws = tap_span(dw, ww);
+  std::fill(dst, dst + hs.lo * ww, pad);
+  std::fill(dst + hs.hi * ww, dst + hh * ww, pad);
+  for (std::size_t h = hs.lo; h < hs.hi; ++h) {
+    // Index with the signed offsets — never form a pointer before the
+    // plane (h + dh >= 0 and w + dw >= 0 inside the spans).
+    const T* __restrict src =
+        plane + (static_cast<std::ptrdiff_t>(h) + dh) *
+                    static_cast<std::ptrdiff_t>(ww);
+    T* __restrict row = dst + h * ww;
+    std::fill(row, row + ws.lo, pad);
+    if (ws.hi > ws.lo)
+      std::copy(src + static_cast<std::ptrdiff_t>(ws.lo) + dw,
+                src + static_cast<std::ptrdiff_t>(ws.hi) + dw, row + ws.lo);
+    std::fill(row + ws.hi, row + ww, pad);
+  }
+}
+
+// The tap (i, j) of im2col row (ci, i, j), advanced in ascending row
+// order by counters, never decoded from the row index.
+struct TapCursor {
+  std::size_t i = 0, j = 0;
+  // Steps to the next row; true when it moves to the next plane.
+  bool next(const ConvShape& g) {
+    if (++j < g.kw) return false;
+    j = 0;
+    if (++i < g.kh) return false;
+    i = 0;
+    return true;
+  }
+  std::ptrdiff_t dh(const ConvShape& g) const {
+    return static_cast<std::ptrdiff_t>(i) -
+           static_cast<std::ptrdiff_t>(g.pad_h);
+  }
+  std::ptrdiff_t dw(const ConvShape& g) const {
+    return static_cast<std::ptrdiff_t>(j) -
+           static_cast<std::ptrdiff_t>(g.pad_w);
+  }
+};
+
 // The rows [r_lo, r_hi) of one sample's C_s = op(A) * B_s, where
-// op(A)(row, kk) = a[row * a_row_step + kk * a_k_stride]. Covers both
-// layouts: NN passes (row_step = k, k_stride = 1), TN passes
+// op(A)(row, kk) = a[row * a_row_step + kk * a_k_stride] and
+// pack_tile(k0, k1, ldb) returns B's k-tile [k0, k1) (row kk at
+// (kk - k0) * ldb), called once per tile in ascending k0. Covers both
+// layouts: the conv passes (row_step = k, k_stride = 1), TN passes
 // (row_step = 1, k_stride = m). When `epilogue` is set it runs once over
 // each finished row — the rows are still chunk-hot, so a fused activation
 // never re-traverses the output from cold memory.
+template <typename PackTile>
 inline void sample_rows_blocked(const simd::SimdOps& ops, std::size_t n,
                                 std::size_t k, const float* a_base,
                                 std::size_t a_row_step, std::size_t a_k_stride,
-                                const float* __restrict b_s,
-                                float* __restrict c_s, std::size_t r_lo,
-                                std::size_t r_hi, bool accumulate,
-                                RowEpilogue epilogue,
+                                PackTile&& pack_tile, float* __restrict c_s,
+                                std::size_t r_lo, std::size_t r_hi,
+                                bool accumulate, RowEpilogue epilogue,
                                 const float* __restrict row_init) {
   if (!accumulate)
     for (std::size_t r = r_lo; r < r_hi; ++r)
       std::fill(c_s + r * n, c_s + r * n + n,
                 row_init != nullptr ? row_init[r] : 0.0f);
-  const bool do_pack = r_hi - r_lo > kRowBlock;
-  std::vector<float>& pack = pack_scratch();
   for (std::size_t k0 = 0; k0 < k; k0 += kKTile) {
     const std::size_t k1 = std::min(k, k0 + kKTile);
-    const float* bt;
     std::size_t ldb;
-    if (do_pack) {
-      bt = pack_b_tile(b_s, n, k0, k1, pack);
-      ldb = packed_stride(n);
-    } else {
-      bt = b_s + k0 * n;
-      ldb = n;
-    }
+    const float* bt = pack_tile(k0, k1, ldb);
     ops.gemm_tile(r_hi - r_lo, n, k0, k1, a_base + r_lo * a_row_step,
                   a_row_step, a_k_stride, bt, ldb, c_s + r_lo * n, n);
   }
@@ -107,25 +154,131 @@ inline void sample_rows_blocked(const simd::SimdOps& ops, std::size_t n,
 
 }  // namespace
 
-void gemm_nn_batched(std::size_t batch, std::size_t m, std::size_t n,
-                     std::size_t k, const float* a, const float* b,
-                     std::size_t b_stride, float* c, std::size_t c_stride,
-                     bool accumulate, RowEpilogue epilogue,
-                     const float* row_init) {
+void conv_f32_batched(std::size_t batch, std::size_t m, const ConvShape& g,
+                      const float* a, const float* x, float* c,
+                      RowEpilogue epilogue, const float* row_init) {
   const simd::SimdOps& ops = simd::ops();
+  const std::size_t n = g.n(), k = g.k();
+  const std::size_t ldp = packed_stride(n);
   const std::size_t rows = batch * m;
   const std::size_t grain = std::max(common::grain_for(n * k), 8 * kRowBlock);
   common::parallel_for(0, rows, grain, [&](std::size_t lo, std::size_t hi) {
+    std::vector<float>& pack = pack_scratch();
+    pack.resize(ldp * std::min(k, kKTile));
     std::size_t r = lo;
     while (r < hi) {
       const std::size_t s = r / m, i0 = r % m;
       const std::size_t nrows = std::min(hi - r, m - i0);
-      sample_rows_blocked(ops, n, k, a, k, 1, b + s * b_stride,
-                          c + s * c_stride, i0, i0 + nrows, accumulate,
-                          epilogue, row_init);
+      // Tile rows walk the im2col rows in order: plane ci, then tap
+      // (i, j), straight from the sample's input planes.
+      const float* plane = x + s * g.in_channels * n;
+      TapCursor tap;
+      auto pack_tile = [&](std::size_t k0, std::size_t k1, std::size_t& ldb) {
+        for (std::size_t kk = k0; kk < k1; ++kk) {
+          tap_row(plane, g.hh, g.ww, tap.dh(g), tap.dw(g), 0.0f,
+                  pack.data() + (kk - k0) * ldp);
+          if (tap.next(g)) plane += n;
+        }
+        ldb = ldp;
+        return static_cast<const float*>(pack.data());
+      };
+      sample_rows_blocked(ops, n, k, a, k, 1, pack_tile, c + s * m * n, i0,
+                          i0 + nrows, /*accumulate=*/false, epilogue,
+                          row_init);
       r += nrows;
     }
   });
+}
+
+void im2col(const ConvShape& g, std::size_t batch, const std::uint8_t* x,
+            std::uint8_t* cols) {
+  const std::size_t n = g.n(), taps = g.kh * g.kw;
+  // Plane p = s * in_channels + ci owns column rows [p * taps,
+  // (p + 1) * taps), written in tap order.
+  common::parallel_for(
+      0, batch * g.in_channels, common::grain_for(taps * n),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t p = lo; p < hi; ++p) {
+          std::uint8_t* row = cols + p * taps * n;
+          TapCursor tap;
+          for (std::size_t t = 0; t < taps; ++t, row += n, tap.next(g))
+            tap_row(x + p * n, g.hh, g.ww, tap.dh(g), tap.dw(g),
+                    std::uint8_t{128}, row);
+        }
+      });
+}
+
+void im2row(const ConvShape& g, std::size_t batch, const float* x,
+            float* rows) {
+  const std::size_t n = g.n(), k = g.k();
+  // Four im2col rows at a time are staged in L1 and written out by 4x4
+  // SSE register transposes (scalar loops over the ragged edges), so the
+  // full column matrix never exists. Pure data movement, parallel over
+  // samples.
+  common::parallel_for(
+      0, batch, common::grain_for(k * n), [&](std::size_t lo, std::size_t hi) {
+        std::vector<float> stage(4 * n);
+        for (std::size_t s = lo; s < hi; ++s) {
+          const float* plane = x + s * g.in_channels * n;
+          float* __restrict dst = rows + s * n * k;
+          TapCursor tap;
+          for (std::size_t q = 0; q < k; q += 4) {
+            const std::size_t m = std::min<std::size_t>(4, k - q);
+            for (std::size_t t = 0; t < m; ++t) {
+              tap_row(plane, g.hh, g.ww, tap.dh(g), tap.dw(g), 0.0f,
+                      stage.data() + t * n);
+              if (tap.next(g)) plane += n;
+            }
+            const float* __restrict src = stage.data();
+            std::size_t p = 0;
+#ifdef __SSE2__
+            for (; m == 4 && p + 4 <= n; p += 4) {
+              __m128 r0 = _mm_loadu_ps(src + p);
+              __m128 r1 = _mm_loadu_ps(src + n + p);
+              __m128 r2 = _mm_loadu_ps(src + 2 * n + p);
+              __m128 r3 = _mm_loadu_ps(src + 3 * n + p);
+              _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+              _mm_storeu_ps(dst + p * k + q, r0);
+              _mm_storeu_ps(dst + (p + 1) * k + q, r1);
+              _mm_storeu_ps(dst + (p + 2) * k + q, r2);
+              _mm_storeu_ps(dst + (p + 3) * k + q, r3);
+            }
+#endif
+            for (; p < n; ++p)
+              for (std::size_t t = 0; t < m; ++t)
+                dst[p * k + q + t] = src[t * n + p];
+          }
+        }
+      });
+}
+
+void col2im_add(const ConvShape& g, std::size_t batch, const float* cols,
+                float* grad_x) {
+  const std::size_t n = g.n(), taps = g.kh * g.kw;
+  // Taps of plane (s, ci) only touch that plane, so the plane is the
+  // parallel unit and the tap/row order inside it is fixed. Plane p's
+  // column rows are p * taps .. p * taps + taps - 1.
+  common::parallel_for(
+      0, batch * g.in_channels, common::grain_for(taps * n),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t p = lo; p < hi; ++p) {
+          float* __restrict gi_plane = grad_x + p * n;
+          const float* __restrict cg_row = cols + p * taps * n;
+          TapCursor tap;
+          for (std::size_t t = 0; t < taps; ++t, cg_row += n, tap.next(g)) {
+            const std::ptrdiff_t dh = tap.dh(g), dw = tap.dw(g);
+            const TapSpan hs = tap_span(dh, g.hh), ws = tap_span(dw, g.ww);
+            for (std::size_t h = hs.lo; h < hs.hi; ++h) {
+              float* __restrict dst =
+                  gi_plane + (static_cast<std::ptrdiff_t>(h) + dh) *
+                                 static_cast<std::ptrdiff_t>(g.ww);
+              const float* __restrict src = cg_row + h * g.ww;
+              for (std::size_t w = ws.lo; w < ws.hi; ++w)
+                dst[static_cast<std::ptrdiff_t>(w) + dw] += src[w];
+            }
+          }
+        }
+      });
 }
 
 void gemm_tn_batched(std::size_t batch, std::size_t m, std::size_t n,
@@ -140,9 +293,20 @@ void gemm_tn_batched(std::size_t batch, std::size_t m, std::size_t n,
     while (r < hi) {
       const std::size_t s = r / m, i0 = r % m;
       const std::size_t nrows = std::min(hi - r, m - i0);
-      sample_rows_blocked(ops, n, k, a, 1, m, b + s * b_stride,
-                          c + s * c_stride, i0, i0 + nrows, accumulate,
-                          nullptr, nullptr);
+      const float* b_s = b + s * b_stride;
+      // A few rows reuse each B row too little to repay packing it.
+      auto pack_tile = [&](std::size_t k0, std::size_t k1, std::size_t& ldb) {
+        ldb = nrows <= kRowBlock ? n : packed_stride(n);
+        if (ldb == n) return b_s + k0 * n;
+        std::vector<float>& pack = pack_scratch();
+        pack.resize(ldb * (k1 - k0));
+        for (std::size_t kk = k0; kk < k1; ++kk)
+          std::copy(b_s + kk * n, b_s + kk * n + n,
+                    pack.data() + (kk - k0) * ldb);
+        return static_cast<const float*>(pack.data());
+      };
+      sample_rows_blocked(ops, n, k, a, 1, m, pack_tile, c + s * c_stride, i0,
+                          i0 + nrows, accumulate, nullptr, nullptr);
       r += nrows;
     }
   });
@@ -235,7 +399,7 @@ inline void transpose_8x16_u8(const __m128i rows[8], std::uint8_t* dst) {
 #endif
 
 // The GEMM half shared by both conv drivers: same (sample, row-block)
-// walk as gemm_nn_batched, same grain floor, so the int8 path inherits
+// walk as conv_f32_batched, same grain floor, so the int8 path inherits
 // the fp32 driver's load-balancing shape.
 void conv_gemm_s8u8(std::size_t batch, std::size_t n,
                     const QuantizedWeights& qw, const std::uint8_t* panel,

@@ -9,8 +9,8 @@
 //                       walks the layer graph, asks every layer for its
 //                       per-sample output shape and scratch needs via
 //                       plan_inference, and carves input + ping-pong
-//                       activations + logits + every scratch slice (im2col
-//                       columns, attention maps, ...) out of ONE contiguous
+//                       activations + logits + every scratch slice
+//                       (attention maps, ...) out of ONE contiguous
 //                       arena. Layers carrying calibrated int8 weights
 //                       (nn/quantize.h) report extra byte-sized slices here
 //                       — quantized inputs, u8 im2col columns, the

@@ -3,7 +3,7 @@
 // Every layer exposes two forward paths:
 //
 //   * The stateful train path — forward(x, training) caches whatever the
-//     backward pass needs (inputs, im2col columns, pool argmaxes), then
+//     backward pass needs (inputs, pool argmaxes, activations), then
 //     backward() consumes it. Owned by Trainer; never safe to share.
 //   * The const serve path — plan_inference() describes, for one sample,
 //     every intermediate shape and scratch buffer the layer needs, and

@@ -44,16 +44,16 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// C_s (+)= A * B_s, plain triple loop, ascending k, one add per k — the
-// accumulation order the kernels contract to reproduce exactly.
+// C_s = row_init + A * B_s, plain triple loop, ascending k, one add per
+// k — the accumulation order the kernels contract to reproduce exactly.
 void naive_nn(std::size_t batch, std::size_t m, std::size_t n, std::size_t k,
               const float* a, const float* b, std::size_t b_stride, float* c,
-              std::size_t c_stride, bool accumulate) {
+              std::size_t c_stride, const float* row_init) {
   for (std::size_t s = 0; s < batch; ++s)
     for (std::size_t i = 0; i < m; ++i) {
       float* row = c + s * c_stride + i * n;
-      if (!accumulate)
-        for (std::size_t j = 0; j < n; ++j) row[j] = 0.0f;
+      for (std::size_t j = 0; j < n; ++j)
+        row[j] = row_init != nullptr ? row_init[i] : 0.0f;
       for (std::size_t kk = 0; kk < k; ++kk) {
         const float av = a[i * k + kk];
         for (std::size_t j = 0; j < n; ++j)
@@ -82,6 +82,13 @@ struct Shape {
   std::size_t batch, m, n, k;
 };
 
+// A 1x1 conv over one-row planes: its im2col matrix is the input itself,
+// so conv_f32_batched(batch, m, plain_b(k, n), A, B, C) is C_s = A * B_s
+// with B_s [k][n] at stride k * n and C_s at stride m * n.
+ConvShape plain_b(std::size_t k, std::size_t n) {
+  return {k, 1, n, 1, 1, 0, 0};
+}
+
 // Sizes straddle every kernel edge: m % 4 != 0 tails, n past the packed
 // stride padding, k beyond one kKTile-deep (64) tile, batch folding.
 const Shape kShapes[] = {
@@ -97,16 +104,18 @@ TEST(GemmBlockedTest, NnMatchesNaiveAndIsBitIdenticalAcrossThreadCounts) {
     for (const Shape& sh : kShapes) {
       const auto a = random_vec(sh.m * sh.k, 11 + sh.k);
       const auto b = random_vec(sh.batch * sh.k * sh.n, 13 + sh.n);
-      for (const bool accumulate : {false, true}) {
-        auto expected = random_vec(sh.batch * sh.m * sh.n, 17);
+      const auto bias = random_vec(sh.m, 19 + sh.m);
+      for (const bool with_bias : {false, true}) {
+        const float* row_init = with_bias ? bias.data() : nullptr;
+        std::vector<float> expected(sh.batch * sh.m * sh.n);
         naive_nn(sh.batch, sh.m, sh.n, sh.k, a.data(), b.data(), sh.k * sh.n,
-                 expected.data(), sh.m * sh.n, accumulate);
+                 expected.data(), sh.m * sh.n, row_init);
         std::vector<float> one_thread;
         for (const int threads : {1, 4}) {
           common::set_num_threads(threads);
-          auto c = random_vec(sh.batch * sh.m * sh.n, 17);  // same garbage
-          gemm_nn_batched(sh.batch, sh.m, sh.n, sh.k, a.data(), b.data(),
-                          sh.k * sh.n, c.data(), sh.m * sh.n, accumulate);
+          auto c = random_vec(sh.batch * sh.m * sh.n, 17);  // garbage
+          conv_f32_batched(sh.batch, sh.m, plain_b(sh.k, sh.n), a.data(),
+                           b.data(), c.data(), nullptr, row_init);
           for (std::size_t e = 0; e < c.size(); ++e)
             expect_matches_reference(backend, c[e], expected[e], "nn", e);
           if (threads == 1) {
@@ -171,11 +180,11 @@ TEST(GemmBlockedTest, ExactZerosInAContributeLikeAnyOtherValue) {
   for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
   const auto b = random_vec(k * n, 37);
   std::vector<float> expected(m * n);
-  naive_nn(1, m, n, k, a.data(), b.data(), 0, expected.data(), 0, false);
+  naive_nn(1, m, n, k, a.data(), b.data(), 0, expected.data(), 0, nullptr);
   for (const simd::Backend backend : available_backends()) {
     ASSERT_TRUE(simd::set_active(backend));
     std::vector<float> c(m * n);
-    gemm_nn_batched(1, m, n, k, a.data(), b.data(), 0, c.data(), 0, false);
+    conv_f32_batched(1, m, plain_b(k, n), a.data(), b.data(), c.data());
     for (std::size_t e = 0; e < c.size(); ++e)
       expect_matches_reference(backend, c[e], expected[e], "zeros", e);
   }
@@ -190,18 +199,19 @@ TEST(GemmBlockedTest, FusedRowEpilogueMatchesSeparateApplication) {
   const std::size_t batch = 2, m = 6, n = 29, k = 70;
   const auto a = random_vec(m * k, 61);
   const auto b = random_vec(batch * k * n, 67);
+  const std::vector<float> bias(m, 0.25f);
   for (const simd::Backend backend : available_backends()) {
     ASSERT_TRUE(simd::set_active(backend));
     const simd::SimdOps& ops = simd::ops();
     for (const int threads : {1, 4}) {
       common::set_num_threads(threads);
-      std::vector<float> unfused(batch * m * n, 0.25f);
-      gemm_nn_batched(batch, m, n, k, a.data(), b.data(), k * n,
-                      unfused.data(), m * n, /*accumulate=*/true);
+      std::vector<float> unfused(batch * m * n);
+      conv_f32_batched(batch, m, plain_b(k, n), a.data(), b.data(),
+                       unfused.data(), nullptr, bias.data());
       ops.selu(unfused.data(), unfused.data(), unfused.size());
-      std::vector<float> fused(batch * m * n, 0.25f);
-      gemm_nn_batched(batch, m, n, k, a.data(), b.data(), k * n, fused.data(),
-                      m * n, /*accumulate=*/true, ops.selu);
+      std::vector<float> fused(batch * m * n);
+      conv_f32_batched(batch, m, plain_b(k, n), a.data(), b.data(),
+                       fused.data(), ops.selu, bias.data());
       for (std::size_t e = 0; e < fused.size(); ++e)
         ASSERT_EQ(fused[e], unfused[e])
             << simd::name(backend) << " threads=" << threads << " elem=" << e;

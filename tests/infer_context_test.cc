@@ -301,6 +301,43 @@ TEST(InferContextTest, RacingClassifyBatchCallersAreBitIdentical) {
     ASSERT_EQ(after[i].confidence, reference[i].confidence) << i;
 }
 
+TEST(InferContextTest, ArenaSizeIsPinnedForQuickAndPaperModels) {
+  // The arena of the full-width models (5 x 234 inputs, 10 classes) at
+  // max_batch 64. fp32 convs pack their GEMM tiles from the input planes
+  // and plan no scratch, so the fp32 arena is exactly
+  //   input 64*5*234 + act A/B 2*64*(filters*234) + attention maps
+  //   64*(slice_stride(2*hw) + slice_stride(hw)) + logits 64*10
+  // (quick: hw = 29 after three pools; paper: hw = 7 after five). A
+  // columns slice that comes back grows these by kw-times an activation.
+  // Calibrated models add the int8 slices: u8 input planes and the
+  // oct-packed panel per conv, the quantized row per dense layer.
+  const dataset::InputSpec spec;
+  const int channels = dataset::num_input_channels(spec);
+  const int width = static_cast<int>(dataset::num_input_columns(spec));
+  ASSERT_EQ(channels, 5);
+  ASSERT_EQ(width, 234);
+  struct Case {
+    const char* name;
+    core::ModelConfig cfg;
+    std::size_t fp32, calibrated;
+  };
+  for (const Case& c :
+       {Case{"quick", core::quick_model_config(), 1040128, 1726208},
+        Case{"paper", core::paper_model_config(), 3911424, 7612160}}) {
+    nn::SharedModel model(
+        core::build_deepcsi_model(channels, width, 10, c.cfg));
+    EXPECT_EQ(nn::InferenceContext(model, sample_shape(spec), 64).arena_floats(),
+              c.fp32)
+        << c.name;
+    nn::Sequential& graph = model.mutable_graph();
+    nn::apply_calibration(
+        graph, nn::calibrate_input_ranges(graph, random_input(spec, 2, 3)));
+    EXPECT_EQ(nn::InferenceContext(model, sample_shape(spec), 64).arena_floats(),
+              c.calibrated)
+        << c.name;
+  }
+}
+
 TEST(InferContextTest, ConstModelApiSweep) {
   const dataset::InputSpec spec = test_spec();
   nn::Sequential model = build_test_model(spec);

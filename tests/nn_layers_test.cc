@@ -2,16 +2,22 @@
 // brute-force references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <random>
+#include <string>
+#include <utility>
 
+#include "common/parallel.h"
 #include "nn/activations.h"
 #include "nn/attention.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
+#include "nn/gemm.h"
 #include "nn/loss.h"
 #include "nn/metrics.h"
 #include "nn/model.h"
@@ -151,6 +157,146 @@ TEST(Conv2dTest, WeightGradientMatchesDoubleReference) {
       }
     }
   }
+}
+
+// im2col by its definition, decoding every row index with divisions:
+// row (c, i, j) = plane c shifted by (i - ph, j - pw), `pad` outside.
+template <typename T>
+std::vector<T> reference_im2col(const T* x, std::size_t n, std::size_t ci,
+                                std::size_t hh, std::size_t ww, std::size_t kh,
+                                std::size_t kw, T pad) {
+  const std::size_t k = ci * kh * kw, hw = hh * ww;
+  const std::ptrdiff_t ph = static_cast<std::ptrdiff_t>(kh - 1) / 2;
+  const std::ptrdiff_t pw = static_cast<std::ptrdiff_t>(kw - 1) / 2;
+  std::vector<T> cols(n * k * hw);
+  for (std::size_t r = 0; r < n * k; ++r) {
+    const std::size_t b = r / k, c = (r % k) / (kh * kw);
+    const std::size_t i = (r % (kh * kw)) / kw, j = r % kw;
+    for (std::size_t p = 0; p < hw; ++p) {
+      const std::ptrdiff_t hs = static_cast<std::ptrdiff_t>(p / ww + i) - ph;
+      const std::ptrdiff_t ws = static_cast<std::ptrdiff_t>(p % ww + j) - pw;
+      const bool inside = hs >= 0 && hs < static_cast<std::ptrdiff_t>(hh) &&
+                          ws >= 0 && ws < static_cast<std::ptrdiff_t>(ww);
+      cols[r * hw + p] =
+          inside ? x[((b * ci + c) * hh + static_cast<std::size_t>(hs)) * ww +
+                     static_cast<std::size_t>(ws)]
+                 : pad;
+    }
+  }
+  return cols;
+}
+
+TEST(Conv2dTest, PlanePackedForwardMatchesIm2colGemmBitForBit) {
+  // Both fp32 forward paths pack the GEMM's B tiles straight from the
+  // input planes (conv_f32_batched). They must reproduce, bit for bit, the
+  // route they replaced: an explicit im2col matrix times the weights
+  // through SimdOps::gemm_tile, every row seeded with its bias, then the
+  // fused SELU epilogue when planned — under every backend, at 1 and 4
+  // threads. Geometries: every (kh, hh, kw, ww) of the grid below, ww < kw
+  // included; Cin, Cout and the batch rotate through their lists. Inputs
+  // are sized exactly, so the sanitizer legs catch a packer overread.
+  // nn::im2col (u8) and nn::im2row (the transposed fp32 columns of the
+  // weight gradient) are pinned to the same definition.
+  tests::ThreadGuard thread_guard;
+  tests::BackendGuard backend_guard;
+  const std::size_t kCin[] = {1, 2, 5, 32}, kCout[] = {1, 3, 32, 33};
+  std::size_t g = 0;
+  for (const auto& [kh, hh] : {std::pair<std::size_t, std::size_t>{1, 1},
+                              {1, 4}, {3, 1}, {3, 4}})
+    for (const std::size_t kw : {1, 3, 5, 7})
+      for (const std::size_t ww : {1, 2, 7, 29, 117, 234}) {
+        const std::size_t ci = kCin[g % 4], co = kCout[(g / 4) % 4];
+        const std::size_t k = ci * kh * kw, hw = hh * ww;
+        // Batch 7 on alternate blocks of 16, unless that GEMM is large.
+        const std::size_t n =
+            (g / 16) % 2 == 1 && k * hw * co < 4000000 ? 7 : 1;
+        ++g;
+        std::mt19937_64 rng(1000 + g);
+        std::normal_distribution<float> dist(0.0f, 1.0f);
+        std::vector<float> x(n * ci * hw);
+        for (float& v : x) v = dist(rng);
+        std::vector<std::uint8_t> xq(n * ci * hw);
+        for (std::uint8_t& v : xq) v = static_cast<std::uint8_t>(rng());
+        const std::vector<float> cols =
+            reference_im2col(x.data(), n, ci, hh, ww, kh, kw, 0.0f);
+        const ConvShape shape{ci, hh, ww, kh, kw, (kh - 1) / 2, (kw - 1) / 2};
+        const std::string where = "kh=" + std::to_string(kh) +
+                                  " hh=" + std::to_string(hh) +
+                                  " kw=" + std::to_string(kw) +
+                                  " ww=" + std::to_string(ww) +
+                                  " ci=" + std::to_string(ci) +
+                                  " co=" + std::to_string(co) +
+                                  " n=" + std::to_string(n);
+        {
+          std::vector<float> rows(cols.size());
+          for (std::size_t b = 0; b < n; ++b)
+            for (std::size_t q = 0; q < k; ++q)
+              for (std::size_t p = 0; p < hw; ++p)
+                rows[(b * hw + p) * k + q] = cols[(b * k + q) * hw + p];
+          std::vector<float> got(cols.size());
+          im2row(shape, n, x.data(), got.data());
+          ASSERT_EQ(std::memcmp(got.data(), rows.data(),
+                                rows.size() * sizeof(float)),
+                    0)
+              << "im2row " << where;
+          const std::vector<std::uint8_t> cols_u8 = reference_im2col(
+              xq.data(), n, ci, hh, ww, kh, kw, std::uint8_t{128});
+          std::vector<std::uint8_t> got_u8(cols_u8.size());
+          im2col(shape, n, xq.data(), got_u8.data());
+          ASSERT_EQ(got_u8, cols_u8) << "u8 im2col " << where;
+        }
+
+        Conv2d conv(ci, co, kh, kw, rng);
+        Tensor& bias = conv.params()[1]->value;
+        for (std::size_t o = 0; o < co; ++o) bias[o] = dist(rng);
+        Tensor x_t({n, ci, hh, ww});
+        std::copy(x.begin(), x.end(), x_t.data());
+        InferencePlan plan;
+        plan.in_shape = {1, ci, hh, ww};
+        conv.plan_inference(plan);
+        ASSERT_TRUE(plan.scratch_numel.empty()) << where;
+
+        for (const simd::Backend backend : tests::available_backends()) {
+          ASSERT_TRUE(simd::set_active(backend));
+          const simd::SimdOps& ops = simd::ops();
+          std::vector<float> ref(n * co * hw), ref_selu;
+          for (std::size_t b = 0; b < n; ++b) {
+            float* c_b = ref.data() + b * co * hw;
+            for (std::size_t o = 0; o < co; ++o)
+              std::fill(c_b + o * hw, c_b + (o + 1) * hw, bias[o]);
+            ops.gemm_tile(co, hw, 0, k, conv.params()[0]->value.data(), k, 1,
+                          cols.data() + b * k * hw, hw, c_b, hw);
+          }
+          ref_selu = ref;
+          ops.selu(ref_selu.data(), ref_selu.data(), ref_selu.size());
+
+          for (const int threads : {1, 4}) {
+            common::set_num_threads(threads);
+            const std::string ctx = where + " threads=" +
+                                    std::to_string(threads) + " " +
+                                    simd::name(backend);
+            const Tensor y = conv.forward(x_t, /*training=*/threads == 4);
+            ASSERT_EQ(std::memcmp(y.data(), ref.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << "forward " << ctx;
+            for (const bool fuse : {false, true}) {
+              plan.fuse_selu = fuse;
+              std::vector<float> out(ref.size());
+              conv.forward_into({tensor::ConstTensorView(x.data(),
+                                                         {n, ci, hh, ww}),
+                                 tensor::TensorView(out.data(),
+                                                    {n, co, hh, ww}),
+                                 plan});
+              const std::vector<float>& want = fuse ? ref_selu : ref;
+              ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                                    want.size() * sizeof(float)),
+                        0)
+                  << "forward_into fuse=" << fuse << " " << ctx;
+            }
+          }
+        }
+      }
 }
 
 TEST(Conv2dTest, RejectsEvenKernels) {

@@ -141,21 +141,24 @@ TEST(SimdGemmTest, Avx2MatchesScalarWithinToleranceOnRandomShapes) {
   for (const GemmShape& sh : kGemmShapes) {
     const auto a = random_vec(sh.m * sh.k, 101 + sh.k);
     const auto b = random_vec(sh.batch * sh.k * sh.n, 103 + sh.n);
-    for (const bool accumulate : {false, true}) {
+    const auto bias = random_vec(sh.m, 109 + sh.m);
+    // A 1x1 conv over one-row planes multiplies by the input itself.
+    const nn::ConvShape plain_b{sh.k, 1, sh.n, 1, 1, 0, 0};
+    for (const bool with_bias : {false, true}) {
+      const float* row_init = with_bias ? bias.data() : nullptr;
       auto c_scalar = random_vec(sh.batch * sh.m * sh.n, 107);
       auto c_avx2 = c_scalar;  // same initial garbage
       ASSERT_TRUE(simd::set_active(Backend::kScalar));
-      nn::gemm_nn_batched(sh.batch, sh.m, sh.n, sh.k, a.data(), b.data(),
-                          sh.k * sh.n, c_scalar.data(), sh.m * sh.n,
-                          accumulate);
+      nn::conv_f32_batched(sh.batch, sh.m, plain_b, a.data(), b.data(),
+                           c_scalar.data(), nullptr, row_init);
       ASSERT_TRUE(simd::set_active(Backend::kAvx2));
-      nn::gemm_nn_batched(sh.batch, sh.m, sh.n, sh.k, a.data(), b.data(),
-                          sh.k * sh.n, c_avx2.data(), sh.m * sh.n, accumulate);
+      nn::conv_f32_batched(sh.batch, sh.m, plain_b, a.data(), b.data(),
+                           c_avx2.data(), nullptr, row_init);
       for (std::size_t e = 0; e < c_scalar.size(); ++e)
         ASSERT_NEAR(c_avx2[e], c_scalar[e],
                     5e-4 * (1.0 + std::abs(c_scalar[e])))
             << "nn m=" << sh.m << " n=" << sh.n << " k=" << sh.k
-            << " acc=" << accumulate << " elem=" << e;
+            << " bias=" << with_bias << " elem=" << e;
     }
   }
 }
