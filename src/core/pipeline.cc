@@ -204,6 +204,14 @@ std::uint64_t Authenticator::swaps_rolled_back() const {
   return life_->swaps_rolled_back.load(std::memory_order_relaxed);
 }
 
+std::size_t Authenticator::contexts_built() const {
+  return pin_epoch()->pool->contexts_built();
+}
+
+std::size_t Authenticator::arena_bytes() const {
+  return pin_epoch()->pool->arena_bytes();
+}
+
 Authenticator::Prediction Authenticator::classify(
     const feedback::CompressedFeedbackReport& report) const {
   Prediction p;

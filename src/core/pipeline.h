@@ -181,6 +181,10 @@ class Authenticator {
   std::uint64_t epoch() const;
   std::uint64_t swaps_completed() const;
   std::uint64_t swaps_rolled_back() const;
+  // The current epoch's inference contexts: how many its pool has built,
+  // and the bytes their arenas hold. Safe to read concurrently.
+  std::size_t contexts_built() const;
+  std::size_t arena_bytes() const;
 
   // INT8 calibration (nn/quantize.h). Both attach quantized weights to
   // the Conv2d/Dense layers and rebuild the context pool so new leases

@@ -20,19 +20,18 @@ std::size_t scratch_stride(const InferencePlan& plan) {
   return total;
 }
 
-// Slice by slice, each slice holding max_batch copies slice_stride(numel)
-// apart, so a call over consecutive regions sees them as one contiguous
-// buffer.
-void resolve_scratch(InferencePlan& plan, float* base, std::size_t max_batch,
+// Slice by slice, each slice holding one copy per region,
+// slice_stride(numel) apart.
+void resolve_scratch(InferencePlan& plan, float* base, std::size_t regions,
                      std::size_t& offset) {
   plan.scratch.clear();
   plan.scratch.reserve(plan.scratch_numel.size());
   for (std::size_t n : plan.scratch_numel) {
     plan.scratch.push_back(base + offset);
-    offset += max_batch * slice_stride(n);
+    offset += regions * slice_stride(n);
   }
   for (InferencePlan& child : plan.children)
-    resolve_scratch(child, base, max_batch, offset);
+    resolve_scratch(child, base, regions, offset);
 }
 
 }  // namespace
@@ -40,7 +39,10 @@ void resolve_scratch(InferencePlan& plan, float* base, std::size_t max_batch,
 InferenceContext::InferenceContext(const SharedModel& model,
                                    tensor::StaticShape sample_shape,
                                    std::size_t max_batch)
-    : graph_(model.graph_ptr()), max_batch_(max_batch) {
+    : graph_(model.graph_ptr()),
+      max_batch_(max_batch),
+      regions_(std::min(max_batch,
+                        static_cast<std::size_t>(common::num_threads()))) {
   DEEPCSI_CHECK(max_batch_ >= 1);
   DEEPCSI_CHECK(sample_shape.rank >= 1 &&
                 sample_shape.rank < tensor::kMaxViewRank);
@@ -65,7 +67,7 @@ InferenceContext::InferenceContext(const SharedModel& model,
     graph_->layer(i).plan_inference(plan);
     shape = plan.out_shape;
     if (shape.numel() > max_activation) max_activation = shape.numel();
-    total_scratch += max_batch_ * scratch_stride(plan);
+    total_scratch += regions_ * scratch_stride(plan);
     steps_.push_back(std::move(plan));
   }
   out_shape_ = shape;
@@ -90,10 +92,11 @@ InferenceContext::InferenceContext(const SharedModel& model,
   // Arena layout:
   //   [input | act A | act B | per-layer scratch... | logits]
   // input and logits are contiguous [max_batch, ...] rows; act A/B and
-  // every scratch slice hold max_batch regions.
+  // every scratch slice hold regions_ regions, one per chunk run() can
+  // start.
   const std::size_t input_floats = slice_stride(max_batch_ * sample_numel());
   act_stride_ = slice_stride(max_activation);
-  const std::size_t act_floats = max_batch_ * act_stride_;
+  const std::size_t act_floats = regions_ * act_stride_;
   const std::size_t logits_floats =
       slice_stride(max_batch_ * out_shape_.numel());
   arena_.assign(input_floats + 2 * act_floats + total_scratch + logits_floats,
@@ -103,7 +106,7 @@ InferenceContext::InferenceContext(const SharedModel& model,
   act_[1] = act_[0] + act_floats;
   std::size_t offset = input_floats + 2 * act_floats;
   for (InferencePlan& plan : steps_)
-    resolve_scratch(plan, arena_.data(), max_batch_, offset);
+    resolve_scratch(plan, arena_.data(), regions_, offset);
   logits_ = arena_.data() + offset;
   DEEPCSI_CHECK(offset + logits_floats == arena_.size());
 }
@@ -134,9 +137,10 @@ tensor::ConstTensorView InferenceContext::run(std::size_t n) {
     // drained: the load balances across threads, and each chunk's
     // activations and scratch stay hot in its core's cache from one
     // sample to the next. The layers' nested parallel_for calls run
-    // serially.
-    const std::size_t chunks =
-        std::min(n, static_cast<std::size_t>(common::num_threads()));
+    // serially. The pool may have grown since the arena was carved, so
+    // the chunk count is clamped to the regions it holds as well.
+    const std::size_t chunks = std::min(
+        {n, regions_, static_cast<std::size_t>(common::num_threads())});
     std::atomic<std::size_t> next{0};
     common::parallel_for(0, chunks, 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t region = lo; region < hi; ++region)
@@ -185,6 +189,13 @@ void ContextPool::release(InferenceContext* ctx) {
 std::size_t ContextPool::contexts_built() const {
   std::lock_guard<std::mutex> lock(mu_);
   return all_.size();
+}
+
+std::size_t ContextPool::arena_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t floats = 0;
+  for (const auto& ctx : all_) floats += ctx->arena_floats();
+  return floats * sizeof(float);
 }
 
 }  // namespace deepcsi::nn

@@ -33,22 +33,26 @@
 // each layer still fans its kernels out over the pool and batch-1
 // latency keeps the whole pool.
 //
-// Arena layout:
+// Arena layout, with regions = min(max_batch, pool threads at
+// construction):
 //   [input | act A | act B | scratch slices... | logits]
 //   - input: contiguous [max_batch, sample...] rows (the caller fills it);
-//   - act A / act B: the ping-pong activations, each cut into max_batch
+//   - act A / act B: the ping-pong activations, each cut into `regions`
 //     fixed regions, each the size of the largest per-sample activation
 //     (rounded to a cache line);
-//   - scratch: every slice a layer planned for one sample, max_batch
+//   - scratch: every slice a layer planned for one sample, `regions`
 //     copies of it; a layer finds its region's copy through the region
 //     index in InferArgs;
 //   - logits: the last layer writes each sample's row into a contiguous
 //     [max_batch, K] slice, so run() returns one [n, K] view.
 // Chunk c works only in region c of every buffer, so a chunk at layer 5
 // never overwrites another chunk still at layer 1, and it reuses the
-// same (cache-hot) region for every sample it claims. Chunks never
-// outnumber the batch, so max_batch regions always suffice, whatever the
-// pool size.
+// same (cache-hot) region for every sample it claims; run(1) uses
+// region 0. run(n) starts min(n, regions, pool threads) chunks, so a
+// pool resized after the build never indexes past the arena: a grown
+// pool runs with fewer chunks than threads, a shrunk one leaves regions
+// idle. Neither changes the output, since a sample's logits do not
+// depend on its region. Rebuild the context to follow a new pool size.
 //
 // Determinism: forward_into reuses the exact kernels of the stateful
 // train-path forward (same parallel_for chunking, same accumulation
@@ -97,7 +101,8 @@ class InferenceContext {
  public:
   // Plans the whole network for inputs of per-sample shape `sample_shape`
   // (e.g. {C, 1, W}) at batches up to `max_batch`, and allocates the
-  // arena. Keeps the graph alive via the model's shared_ptr.
+  // arena with one region per pool thread (at most max_batch). Keeps the
+  // graph alive via the model's shared_ptr.
   InferenceContext(const SharedModel& model, tensor::StaticShape sample_shape,
                    std::size_t max_batch);
 
@@ -122,6 +127,7 @@ class InferenceContext {
 
   std::shared_ptr<const Sequential> graph_;
   std::size_t max_batch_;
+  std::size_t regions_;  // act/scratch regions: min(max_batch, threads)
   tensor::StaticShape in_shape_;   // [1, sample...]
   tensor::StaticShape out_shape_;  // [1, K]
   std::vector<InferencePlan> steps_;
@@ -170,6 +176,8 @@ class ContextPool {
   Lease acquire();
 
   std::size_t contexts_built() const;
+  // Bytes held by the arenas of every context built so far.
+  std::size_t arena_bytes() const;
   std::size_t max_batch() const { return max_batch_; }
 
  private:

@@ -54,8 +54,9 @@ struct InferencePlan {
   tensor::StaticShape in_shape;   // dim0 = 1: one sample
   tensor::StaticShape out_shape;  // filled by plan_inference
   // Scratch slices the layer needs, as float counts for ONE sample; the
-  // context carves max_batch copies of each, slice_stride(numel) apart,
-  // from the arena.
+  // context carves one copy of each per arena region (regions =
+  // min(max_batch, pool threads at construction)), slice_stride(numel)
+  // apart.
   std::vector<std::size_t> scratch_numel;
   // Region 0's copy of each slice (see InferArgs::scratch).
   std::vector<float*> scratch;
@@ -74,7 +75,8 @@ struct InferencePlan {
 
 // Arguments of one const forward step. x/y are the rows being run; all
 // dims but dim0 match the plan. The rows use scratch regions
-// [region, region + x.dim(0)), reached through scratch(k).
+// [region, region + x.dim(0)), reached through scratch(k); the context
+// runs one row at a time, so that is its chunk's one region.
 struct InferArgs {
   tensor::ConstTensorView x;
   tensor::TensorView y;

@@ -233,6 +233,8 @@ StatsSnapshot AuthService::stats() const {
   s.lifecycle.epoch = auth_.epoch();
   s.lifecycle.swaps_completed = auth_.swaps_completed();
   s.lifecycle.swaps_rolled_back = auth_.swaps_rolled_back();
+  s.lifecycle.contexts = auth_.contexts_built();
+  s.lifecycle.arena_bytes = auth_.arena_bytes();
   s.queue_budget = cfg_.queue_capacity;
   s.watchdog_stall_s =
       std::chrono::duration<double>(cfg_.watchdog_stall).count();

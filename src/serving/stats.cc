@@ -89,6 +89,10 @@ std::string StatsSnapshot::render_text() const {
             ull(lifecycle.epoch), ull(lifecycle.swaps_completed),
             ull(lifecycle.swaps_rolled_back));
   }
+  if (lifecycle.contexts > 0) {
+    appendf(out, "contexts     %zu built, arenas %.1f MiB\n",
+            lifecycle.contexts, mib(lifecycle.arena_bytes));
+  }
   if (shadow.present) {
     appendf(out,
             "shadow       %llu sampled, %llu diverged (%llu station(s)), "
@@ -172,9 +176,10 @@ std::string StatsSnapshot::render_json() const {
           sessions.approx_bytes, sessions.stations_drifting);
   appendf(out,
           ",\"lifecycle\":{\"epoch\":%llu,\"swaps_completed\":%llu,"
-          "\"swaps_rolled_back\":%llu}",
+          "\"swaps_rolled_back\":%llu,\"contexts\":%zu,\"arena_bytes\":%zu}",
           ull(lifecycle.epoch), ull(lifecycle.swaps_completed),
-          ull(lifecycle.swaps_rolled_back));
+          ull(lifecycle.swaps_rolled_back), lifecycle.contexts,
+          lifecycle.arena_bytes);
   appendf(out,
           ",\"watchdog\":{\"consumers\":%zu,\"lanes_stalled\":%zu,"
           "\"stall_threshold_s\":%.3f}",

@@ -63,10 +63,14 @@ struct StatsSnapshot {
   // Filled from the Authenticator the service classifies through. Epoch
   // starts at 1; each successful hot swap increments it, each refused one
   // (load error, spec mismatch, injected failpoint) counts a rollback.
+  // contexts / arena_bytes describe the current epoch's context pool: the
+  // inference contexts built so far and the bytes their arenas hold.
   struct Lifecycle {
     std::uint64_t epoch = 0;
     std::uint64_t swaps_completed = 0;
     std::uint64_t swaps_rolled_back = 0;
+    std::size_t contexts = 0;
+    std::size_t arena_bytes = 0;
   };
   Lifecycle lifecycle;
 

@@ -303,38 +303,106 @@ TEST(InferContextTest, RacingClassifyBatchCallersAreBitIdentical) {
 
 TEST(InferContextTest, ArenaSizeIsPinnedForQuickAndPaperModels) {
   // The arena of the full-width models (5 x 234 inputs, 10 classes) at
-  // max_batch 64. fp32 convs pack their GEMM tiles from the input planes
-  // and plan no scratch, so the fp32 arena is exactly
-  //   input 64*5*234 + act A/B 2*64*(filters*234) + attention maps
-  //   64*(slice_stride(2*hw) + slice_stride(hw)) + logits 64*10
-  // (quick: hw = 29 after three pools; paper: hw = 7 after five). A
-  // columns slice that comes back grows these by kw-times an activation.
-  // Calibrated models add the int8 slices: u8 input planes and the
-  // oct-packed panel per conv, the quantized row per dense layer.
+  // max_batch 64, with regions = min(64, pool threads at construction):
+  //   input 64*sample + regions*(2*act + scratch) + logits 64*10
+  // where sample = 5*234, act is the largest per-sample activation
+  // (filters*234) and scratch is every per-sample slice, each rounded
+  // up by slice_stride. fp32 convs pack their GEMM tiles from the input
+  // planes and plan no scratch, so fp32 scratch is the attention maps
+  // slice_stride(2*hw) + slice_stride(hw) (quick: hw = 29 after three
+  // pools; paper: hw = 7 after five). Calibrated models add the int8
+  // slices: u8 input planes and the oct-packed panel per conv, the
+  // quantized row per dense layer. A columns slice that comes back grows
+  // scratch by kw-times an activation; a region count that follows
+  // max_batch again multiplies the 4-thread counts by 8-14.
+  ThreadGuard guard;
   const dataset::InputSpec spec;
   const int channels = dataset::num_input_channels(spec);
   const int width = static_cast<int>(dataset::num_input_columns(spec));
   ASSERT_EQ(channels, 5);
   ASSERT_EQ(width, 234);
+  struct Pin {
+    int threads;
+    std::size_t fp32, calibrated;
+  };
   struct Case {
     const char* name;
     core::ModelConfig cfg;
-    std::size_t fp32, calibrated;
+    Pin pins[2];
   };
   for (const Case& c :
-       {Case{"quick", core::quick_model_config(), 1040128, 1726208},
-        Case{"paper", core::paper_model_config(), 3911424, 7612160}}) {
+       {Case{"quick", core::quick_model_config(),
+             {{1, 90592, 101312}, {4, 135808, 178688}}},
+        Case{"paper", core::paper_model_config(),
+             {{1, 135456, 193280}, {4, 315264, 546560}}}}) {
     nn::SharedModel model(
         core::build_deepcsi_model(channels, width, 10, c.cfg));
-    EXPECT_EQ(nn::InferenceContext(model, sample_shape(spec), 64).arena_floats(),
-              c.fp32)
-        << c.name;
+    const auto arena_at = [&](int threads) {
+      common::set_num_threads(threads);
+      return nn::InferenceContext(model, sample_shape(spec), 64)
+          .arena_floats();
+    };
+    for (const Pin& pin : c.pins)
+      EXPECT_EQ(arena_at(pin.threads), pin.fp32)
+          << c.name << " fp32 at " << pin.threads << " thread(s)";
     nn::Sequential& graph = model.mutable_graph();
     nn::apply_calibration(
         graph, nn::calibrate_input_ranges(graph, random_input(spec, 2, 3)));
-    EXPECT_EQ(nn::InferenceContext(model, sample_shape(spec), 64).arena_floats(),
-              c.calibrated)
-        << c.name;
+    for (const Pin& pin : c.pins)
+      EXPECT_EQ(arena_at(pin.threads), pin.calibrated)
+          << c.name << " calibrated at " << pin.threads << " thread(s)";
+  }
+}
+
+TEST(InferContextTest, PoolResizedAfterTheBuildStaysInsideTheArena) {
+  // A context carves one region per pool thread at construction. If the
+  // pool grows afterwards, run(n) must still start no more chunks than
+  // there are regions, or a chunk would work past the arena's act and
+  // scratch slices; if it shrinks, the spare regions just go unused.
+  // Either way every row stays bit-identical to that row run alone.
+  ThreadGuard thread_guard;
+  tests::BackendGuard backend_guard;
+  const dataset::InputSpec spec = test_spec();
+  const std::size_t max_batch = 9;
+
+  nn::Sequential graph = build_test_model(spec);
+  nn::apply_calibration(
+      graph, nn::calibrate_input_ranges(graph, random_input(spec, 32, 5)));
+  const nn::SharedModel shared(std::move(graph));
+  const nn::Tensor x = random_input(spec, max_batch, 29);
+  const std::size_t sample = x.numel() / max_batch;
+
+  for (const simd::Backend backend : tests::available_backends()) {
+    ASSERT_TRUE(simd::set_active(backend));
+    common::set_num_threads(1);
+    nn::InferenceContext ctx(shared, sample_shape(spec), max_batch);
+    const std::size_t arena = ctx.arena_floats();
+
+    nn::Tensor alone;
+    for (std::size_t r = 0; r < max_batch; ++r) {
+      std::memcpy(ctx.input(), x.data() + r * sample, sample * sizeof(float));
+      const tensor::ConstTensorView logits = ctx.run(1);
+      if (alone.empty()) alone = nn::Tensor({max_batch, logits.dim(1)});
+      std::memcpy(alone.data() + r * logits.dim(1), logits.data(),
+                  logits.dim(1) * sizeof(float));
+    }
+
+    for (const int threads : {4, 1}) {  // grow the pool, then shrink it
+      common::set_num_threads(threads);
+      for (const std::size_t n : {std::size_t{2}, max_batch}) {
+        std::memcpy(ctx.input(), x.data(), n * sample * sizeof(float));
+        const tensor::ConstTensorView logits = ctx.run(n);
+        ASSERT_EQ(logits.dim(0), n);
+        const std::size_t k = logits.dim(1);
+        for (std::size_t r = 0; r < n; ++r)
+          ASSERT_EQ(std::memcmp(logits.data() + r * k, alone.data() + r * k,
+                                k * sizeof(float)),
+                    0)
+              << "row " << r << " of batch " << n << ", backend "
+              << simd::name(backend) << ", " << threads << " threads";
+      }
+      EXPECT_EQ(ctx.arena_floats(), arena) << threads << " threads";
+    }
   }
 }
 

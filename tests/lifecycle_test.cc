@@ -424,6 +424,11 @@ TEST(LifecycleTest, ServiceStatsCarryLifecycleCountersAndShadowTapFires) {
   auto snap = service.stats();
   EXPECT_EQ(snap.lifecycle.epoch, 1u);
   EXPECT_EQ(snap.lifecycle.swaps_completed, 0u);
+  // At most one context per lane, all of one size.
+  EXPECT_GE(snap.lifecycle.contexts, 1u);
+  EXPECT_LE(snap.lifecycle.contexts, cfg.consumers);
+  EXPECT_GT(snap.lifecycle.arena_bytes, 0u);
+  EXPECT_EQ(snap.lifecycle.arena_bytes % snap.lifecycle.contexts, 0u);
 
   const std::string path = save_artifact(auth, "service-swap.model");
   ASSERT_TRUE(auth.swap_model(path).ok());
@@ -432,6 +437,10 @@ TEST(LifecycleTest, ServiceStatsCarryLifecycleCountersAndShadowTapFires) {
   EXPECT_EQ(snap.lifecycle.epoch, 2u);
   EXPECT_EQ(snap.lifecycle.swaps_completed, 1u);
   EXPECT_EQ(snap.lifecycle.swaps_rolled_back, 0u);
+  // The new epoch's pool holds just the context the swap warmed.
+  EXPECT_EQ(snap.lifecycle.contexts, 1u);
+  EXPECT_EQ(snap.lifecycle.arena_bytes, auth.arena_bytes());
+  EXPECT_GT(snap.lifecycle.arena_bytes, 0u);
   EXPECT_EQ(service.sessions().stats().stations_drifting, 0u);
   remove_artifact(path);
 }

@@ -13,7 +13,8 @@ namespace deepcsi::serving {
 namespace {
 
 // Every section present: two lanes (one stalled), a bounded session table,
-// a swap, the shadow lane and both network front ends.
+// a swap with two built contexts, the shadow lane and both network front
+// ends.
 StatsSnapshot full_snapshot() {
   StatsSnapshot s;
   s.queue = {.depth = 2,
@@ -60,7 +61,11 @@ StatsSnapshot full_snapshot() {
                 .approx_bytes = 3u << 20,
                 .station_ceiling = 8,
                 .stations_drifting = 1};
-  s.lifecycle = {.epoch = 2, .swaps_completed = 1, .swaps_rolled_back = 0};
+  s.lifecycle = {.epoch = 2,
+                 .swaps_completed = 1,
+                 .swaps_rolled_back = 0,
+                 .contexts = 2,
+                 .arena_bytes = 4372480};
   s.shadow = {.present = true,
               .sampled = 100,
               .diverged = 4,
@@ -136,6 +141,7 @@ TEST(StatsRenderTest, FullSnapshotText) {
       "sessions     5 station(s) (peak 6, ceiling 8), evicted: ttl=1 lru=2, "
       "table ~3.0 MiB, DRIFTING 1, rss 64.0 MiB\n"
       "lifecycle    epoch 2, swaps: completed=1 rolled-back=0\n"
+      "contexts     2 built, arenas 4.2 MiB\n"
       "shadow       100 sampled, 4 diverged (2 station(s)), mean conf delta "
       "-0.0625, PROMOTED\n"
       "watchdog     1 of 2 lane(s) STALLED (>500ms without progress while "
@@ -168,7 +174,7 @@ TEST(StatsRenderTest, FullSnapshotJson) {
       "\"station_ceiling\":8,\"evicted_ttl\":1,\"evicted_lru\":2,"
       "\"approx_bytes\":3145728,\"stations_drifting\":1}"
       ",\"lifecycle\":{\"epoch\":2,\"swaps_completed\":1,"
-      "\"swaps_rolled_back\":0}"
+      "\"swaps_rolled_back\":0,\"contexts\":2,\"arena_bytes\":4372480}"
       ",\"watchdog\":{\"consumers\":2,\"lanes_stalled\":1,"
       "\"stall_threshold_s\":0.500}"
       ",\"lanes\":[{\"queue_peak\":25,\"depth\":0,\"batches\":12,"
@@ -219,7 +225,7 @@ TEST(StatsRenderTest, MinimalSnapshotJson) {
       "\"station_ceiling\":0,\"evicted_ttl\":0,\"evicted_lru\":0,"
       "\"approx_bytes\":0,\"stations_drifting\":0}"
       ",\"lifecycle\":{\"epoch\":1,\"swaps_completed\":0,"
-      "\"swaps_rolled_back\":0}"
+      "\"swaps_rolled_back\":0,\"contexts\":0,\"arena_bytes\":0}"
       ",\"watchdog\":{\"consumers\":1,\"lanes_stalled\":0,"
       "\"stall_threshold_s\":2.000}"
       ",\"lanes\":[{\"queue_peak\":9,\"depth\":0,\"batches\":3,"
