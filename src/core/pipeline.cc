@@ -194,8 +194,6 @@ nn::Sequential& Authenticator::model() {
   return pin_epoch()->model.mutable_graph();
 }
 
-std::uint64_t Authenticator::epoch() const { return pin_epoch()->id; }
-
 std::uint64_t Authenticator::swaps_completed() const {
   return life_->swaps_completed.load(std::memory_order_relaxed);
 }
@@ -204,12 +202,9 @@ std::uint64_t Authenticator::swaps_rolled_back() const {
   return life_->swaps_rolled_back.load(std::memory_order_relaxed);
 }
 
-std::size_t Authenticator::contexts_built() const {
-  return pin_epoch()->pool->contexts_built();
-}
-
-std::size_t Authenticator::arena_bytes() const {
-  return pin_epoch()->pool->arena_bytes();
+Authenticator::EpochInfo Authenticator::epoch_info() const {
+  const std::shared_ptr<Epoch> epoch = pin_epoch();
+  return {epoch->id, epoch->pool->contexts_built(), epoch->pool->arena_bytes()};
 }
 
 Authenticator::Prediction Authenticator::classify(
@@ -297,7 +292,7 @@ Authenticator::SwapResult Authenticator::swap_model(const std::string& path) {
     life_->swaps_rolled_back.fetch_add(1, std::memory_order_relaxed);
     r.status = status;
     r.error = std::move(why);
-    r.epoch = epoch();  // the incumbent keeps serving
+    r.epoch = pin_epoch()->id;  // the incumbent keeps serving
     return r;
   };
 
@@ -338,7 +333,7 @@ Authenticator::SwapResult Authenticator::swap_model(const std::string& path) {
   publish_epoch(std::move(staged));
   life_->swaps_completed.fetch_add(1, std::memory_order_relaxed);
   r.status = SwapStatus::kSwapped;
-  r.epoch = epoch();
+  r.epoch = pin_epoch()->id;
   return r;
 }
 

@@ -176,15 +176,20 @@ class Authenticator {
   };
   SwapResult swap_model(const std::string& path);
 
-  // Lifecycle counters (monotonic; epoch starts at 1 and increments per
-  // successful swap). Safe to read concurrently with everything.
-  std::uint64_t epoch() const;
+  // Lifecycle counters (monotonic). Safe to read concurrently with
+  // everything.
   std::uint64_t swaps_completed() const;
   std::uint64_t swaps_rolled_back() const;
-  // The current epoch's inference contexts: how many its pool has built,
-  // and the bytes their arenas hold. Safe to read concurrently.
-  std::size_t contexts_built() const;
-  std::size_t arena_bytes() const;
+  // The current epoch's id (1 at construction, +1 per successful swap)
+  // with its pool's inference contexts built so far and the bytes their
+  // arenas hold, all read under one pin so a concurrent swap cannot pair
+  // one epoch's id with the next one's pool. Safe to read concurrently.
+  struct EpochInfo {
+    std::uint64_t id = 0;
+    std::size_t contexts = 0;
+    std::size_t arena_bytes = 0;
+  };
+  EpochInfo epoch_info() const;
 
   // INT8 calibration (nn/quantize.h). Both attach quantized weights to
   // the Conv2d/Dense layers and rebuild the context pool so new leases

@@ -2,7 +2,7 @@
 // authentication service. N clients connect and stream feedback-report
 // frames; the server reassembles them across partial reads, decodes them
 // into capture::ObservedFeedback, and hands each to the submit callback
-// (AuthService::try_submit behind the CLI glue).
+// (AuthService::try_submit behind net::Server).
 //
 // Backpressure maps onto per-connection socket behaviour instead of
 // unbounded buffering or a stalled loop:

@@ -1,7 +1,7 @@
 #include "serving/fleet.h"
 
+#include <algorithm>
 #include <random>
-#include <thread>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -169,45 +169,25 @@ capture::ObservedFeedback FleetGenerator::report(std::uint64_t station,
   return obs;
 }
 
-FleetRunStats run_fleet(AuthService& service, const FleetGenerator& gen,
-                        int producers) {
+ReplayResult run_fleet(AuthService& service, const FleetGenerator& gen,
+                       int producers) {
   DEEPCSI_CHECK(producers >= 1);
   const FleetConfig& cfg = gen.config();
   const std::uint64_t n = cfg.stations;
   const std::uint64_t chunk =
       (n + static_cast<std::uint64_t>(producers) - 1) /
       static_cast<std::uint64_t>(producers);
-
-  service.start();
-  std::vector<FleetRunStats> tallies(static_cast<std::size_t>(producers));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(producers));
-  for (int p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      FleetRunStats& tally = tallies[static_cast<std::size_t>(p)];
-      const std::uint64_t begin = static_cast<std::uint64_t>(p) * chunk;
-      const std::uint64_t end = std::min(n, begin + chunk);
-      // Rounds, not stations, in the outer loop: the whole fleet finishes
-      // report j before any station sends j+1 — the traffic shape a real
-      // beacon-paced deployment would show, and the one that makes the
-      // LRU tail age by station, not by producer chunk.
-      for (std::size_t j = 0; j < cfg.reports_per_station; ++j) {
-        for (std::uint64_t s = begin; s < end; ++s) {
-          ++tally.offered;
-          if (service.submit(gen.report(s, j))) ++tally.accepted;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  service.drain();
-
-  FleetRunStats total;
-  for (const FleetRunStats& t : tallies) {
-    total.offered += t.offered;
-    total.accepted += t.accepted;
-  }
-  return total;
+  return run_producers(service, producers, [&](int p, ProducerTally& tally) {
+    const std::uint64_t begin = static_cast<std::uint64_t>(p) * chunk;
+    const std::uint64_t end = std::min(n, begin + chunk);
+    // Rounds, not stations, in the outer loop: the whole fleet finishes
+    // report j before any station sends j+1 — the traffic shape a real
+    // beacon-paced deployment would show, and the one that makes the
+    // LRU tail age by station, not by producer chunk.
+    for (std::size_t j = 0; j < cfg.reports_per_station; ++j)
+      for (std::uint64_t s = begin; s < end; ++s)
+        tally.submit(gen.report(s, j));
+  });
 }
 
 }  // namespace deepcsi::serving

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "capture/monitor.h"
+#include "serving/replay.h"
 #include "serving/service.h"
 
 namespace deepcsi::serving {
@@ -82,17 +83,13 @@ class FleetGenerator {
   std::vector<feedback::CompressedFeedbackReport> pool_;
 };
 
-struct FleetRunStats {
-  std::size_t offered = 0;
-  std::size_t accepted = 0;
-};
-
 // Streams the whole fleet through `service` (which must not be started
-// yet — run_fleet starts and drains it): `producers` threads each own a
-// contiguous station range and interleave rounds (every station's report
-// j before any report j+1), so per-station submission order — the verdict
-// determinism invariant — holds for any producer count.
-FleetRunStats run_fleet(AuthService& service, const FleetGenerator& gen,
-                        int producers);
+// yet — run_fleet starts and drains it, through run_producers):
+// `producers` threads each own a contiguous station range and interleave
+// rounds (every station's report j before any report j+1), so
+// per-station submission order — the verdict determinism invariant —
+// holds for any producer count.
+ReplayResult run_fleet(AuthService& service, const FleetGenerator& gen,
+                       int producers);
 
 }  // namespace deepcsi::serving

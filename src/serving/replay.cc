@@ -1,7 +1,6 @@
 #include "serving/replay.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -9,23 +8,45 @@
 
 namespace deepcsi::serving {
 
+ReplayResult run_producers(
+    AuthService& service, int producers,
+    const std::function<void(int, ProducerTally&)>& produce) {
+  DEEPCSI_CHECK(producers >= 1);
+  service.start();
+  std::vector<ProducerTally> tallies(static_cast<std::size_t>(producers),
+                                     ProducerTally(service));
+  if (producers == 1) {
+    produce(0, tallies[0]);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(producers));
+    for (int p = 0; p < producers; ++p)
+      threads.emplace_back([&produce, &tallies, p] {
+        produce(p, tallies[static_cast<std::size_t>(p)]);
+      });
+    for (std::thread& t : threads) t.join();
+  }
+  service.drain();
+
+  ReplayResult result;
+  for (const ProducerTally& t : tallies) {
+    result.offered += t.offered();
+    result.accepted += t.accepted();
+  }
+  return result;
+}
+
 ReplayResult replay_observed(
     AuthService& service,
     const std::vector<capture::ObservedFeedback>& observed,
     const ReplayConfig& cfg) {
   DEEPCSI_CHECK(cfg.loops >= 1 && cfg.producers >= 1);
-  ReplayResult result;
-  if (observed.empty()) return result;
+  if (observed.empty()) return {};
 
   // Loops are dealt round-robin, so producers beyond the loop count would
   // have nothing to send — clamp rather than spawn idle threads that make
   // a "4-producer" run silently single-producer.
   const int producers_used = std::min(cfg.producers, cfg.loops);
-
-  service.start();
-  const auto start = std::chrono::steady_clock::now();
-  std::atomic<std::size_t> offered{0};
-  std::atomic<std::size_t> accepted{0};
 
   // Pacing: the aggregate target rate_rps is divided into global 1/rate
   // slots; producer p owns slots p, p+P, p+2P, ... Staggering by producer
@@ -34,47 +55,27 @@ ReplayResult replay_observed(
   // start means a slow classify never lets a producer "catch up" in a
   // burst of its own.
   const double slot_s = cfg.rate_rps > 0.0 ? 1.0 / cfg.rate_rps : 0.0;
+  const auto start = std::chrono::steady_clock::now();
 
-  auto produce = [&](int producer_idx) {
-    std::size_t sent = 0;
-    for (int loop = producer_idx; loop < cfg.loops; loop += producers_used) {
-      for (const capture::ObservedFeedback& obs : observed) {
-        if (slot_s > 0.0) {
-          const double slot = static_cast<double>(producer_idx) +
-                              static_cast<double>(sent) *
-                                  static_cast<double>(producers_used);
-          const auto due =
-              start + std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(slot * slot_s));
-          std::this_thread::sleep_until(due);
+  return run_producers(
+      service, producers_used, [&](int producer_idx, ProducerTally& tally) {
+        for (int loop = producer_idx; loop < cfg.loops;
+             loop += producers_used) {
+          for (const capture::ObservedFeedback& obs : observed) {
+            if (slot_s > 0.0) {
+              const double slot = static_cast<double>(producer_idx) +
+                                  static_cast<double>(tally.offered()) *
+                                      static_cast<double>(producers_used);
+              const auto due =
+                  start + std::chrono::duration_cast<
+                              std::chrono::steady_clock::duration>(
+                              std::chrono::duration<double>(slot * slot_s));
+              std::this_thread::sleep_until(due);
+            }
+            tally.submit(obs);
+          }
         }
-        ++sent;
-        offered.fetch_add(1, std::memory_order_relaxed);
-        if (service.submit(obs))
-          accepted.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  if (producers_used == 1) {
-    produce(0);  // keep the single-producer path free of thread scheduling
-  } else {
-    std::vector<std::thread> producers;
-    producers.reserve(static_cast<std::size_t>(producers_used));
-    for (int p = 0; p < producers_used; ++p)
-      producers.emplace_back(produce, p);
-    for (std::thread& t : producers) t.join();
-  }
-
-  service.drain();
-  result.offered = offered.load();
-  result.accepted = accepted.load();
-  result.producers_used = producers_used;
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
+      });
 }
 
 }  // namespace deepcsi::serving

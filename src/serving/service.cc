@@ -230,11 +230,12 @@ StatsSnapshot AuthService::stats() const {
     if (s.lanes.back().stalled) ++s.lanes_stalled;
   }
   s.sessions = sessions_.stats();
-  s.lifecycle.epoch = auth_.epoch();
+  const core::Authenticator::EpochInfo epoch = auth_.epoch_info();
+  s.lifecycle.epoch = epoch.id;
   s.lifecycle.swaps_completed = auth_.swaps_completed();
   s.lifecycle.swaps_rolled_back = auth_.swaps_rolled_back();
-  s.lifecycle.contexts = auth_.contexts_built();
-  s.lifecycle.arena_bytes = auth_.arena_bytes();
+  s.lifecycle.contexts = epoch.contexts;
+  s.lifecycle.arena_bytes = epoch.arena_bytes;
   s.queue_budget = cfg_.queue_capacity;
   s.watchdog_stall_s =
       std::chrono::duration<double>(cfg_.watchdog_stall).count();

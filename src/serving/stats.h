@@ -75,7 +75,7 @@ struct StatsSnapshot {
   Lifecycle lifecycle;
 
   // ------------------------------------------------ shadow scoring
-  // Copied in by the owner of the ShadowScorer (the CLI glue), like the
+  // Copied in by the owner of the ShadowScorer (net::Server), like the
   // network front ends below — present only when a candidate is loaded.
   struct Shadow {
     bool present = false;
@@ -98,7 +98,7 @@ struct StatsSnapshot {
   std::size_t reports_accepted = 0;
 
   // ------------------------------------------------ network front ends
-  // Set by the owner of the sockets (the CLI glue) to the front ends' own
+  // Set by the owner of the sockets (net::Server) to the front ends' own
   // counters; absent when the run has no network front end.
   std::optional<net::IngestStats> ingest;
   std::optional<net::PublisherStats> publish;

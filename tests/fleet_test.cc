@@ -26,7 +26,7 @@ namespace {
 
 using serving::FleetConfig;
 using serving::FleetGenerator;
-using serving::FleetRunStats;
+using serving::ReplayResult;
 
 // Small pool, real pipeline: 3 modules x 2 positions x 2 classes.
 FleetConfig small_fleet(std::uint64_t stations) {
@@ -152,7 +152,7 @@ TEST(FleetTest, BoundedServiceHoldsTheCeilingUnderFleetPressure) {
   cfg.sessions.num_shards = 4;
   cfg.sessions.max_stations = 64;
   serving::AuthService service(auth, cfg);
-  const FleetRunStats fr = serving::run_fleet(service, gen, /*producers=*/3);
+  const ReplayResult fr = serving::run_fleet(service, gen, /*producers=*/3);
   EXPECT_EQ(fr.offered, 400u);   // 200 stations x 2 reports
   EXPECT_EQ(fr.accepted, 400u);  // kBlock never drops
 

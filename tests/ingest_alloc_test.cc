@@ -47,6 +47,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace deepcsi::dataset {
 namespace {
 
+using tests::quick_authenticator;
 using tests::ThreadGuard;
 
 Trace test_trace(int module) {
@@ -126,14 +127,6 @@ TEST(IngestAllocTest, LabeledSetAndShuffleBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(s1.y, s4.y);
   for (std::size_t i = 0; i < s1.x.numel(); ++i)
     ASSERT_EQ(s1.x[i], s4.x[i]) << i;
-}
-
-core::Authenticator quick_authenticator(const InputSpec& spec) {
-  return core::Authenticator(
-      core::build_deepcsi_model(num_input_channels(spec),
-                                static_cast<int>(num_input_columns(spec)),
-                                phy::kNumModules, core::quick_model_config()),
-      spec);
 }
 
 // Heap allocations spent submitting `n` copies of `report` (keeping its

@@ -23,6 +23,7 @@
 #include "serving/service.h"
 #include "serving/session_table.h"
 #include "serving/shadow.h"
+#include "test_util.h"
 
 namespace deepcsi {
 namespace {
@@ -30,15 +31,7 @@ namespace {
 using common::failpoints::ScopedSpec;
 using core::Authenticator;
 using core::ModelLoadStatus;
-
-core::Authenticator make_authenticator(const dataset::InputSpec& spec) {
-  return core::Authenticator(
-      core::build_deepcsi_model(
-          dataset::num_input_channels(spec),
-          static_cast<int>(dataset::num_input_columns(spec)),
-          phy::kNumModules, core::quick_model_config()),
-      spec);
-}
+using tests::quick_authenticator;
 
 std::vector<feedback::CompressedFeedbackReport> make_reports() {
   const dataset::Scale scale{3, 3, 4};
@@ -74,16 +67,16 @@ void remove_artifact(const std::string& path) {
 TEST(LifecycleTest, SwapToIdenticalWeightsKeepsPredictionsBitExact) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
   const auto before = auth.classify_batch(reports);
-  EXPECT_EQ(auth.epoch(), 1u);
+  EXPECT_EQ(auth.epoch_info().id, 1u);
 
   const std::string path = save_artifact(auth, "swap-identical.model");
   const auto r = auth.swap_model(path);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.epoch, 2u);
-  EXPECT_EQ(auth.epoch(), 2u);
+  EXPECT_EQ(auth.epoch_info().id, 2u);
   EXPECT_EQ(auth.swaps_completed(), 1u);
   EXPECT_EQ(auth.swaps_rolled_back(), 0u);
 
@@ -100,7 +93,7 @@ TEST(LifecycleTest, SwapToIdenticalWeightsKeepsPredictionsBitExact) {
 TEST(LifecycleTest, EveryFailureModeRollsBackAndKeepsServingTheIncumbent) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
   const auto before = auth.classify_batch(reports);
   const std::string good = save_artifact(auth, "swap-rollback.model");
@@ -145,7 +138,7 @@ TEST(LifecycleTest, EveryFailureModeRollsBackAndKeepsServingTheIncumbent) {
 
   // Four failures, four rollbacks, zero published epochs — and the
   // incumbent still serves the exact same predictions.
-  EXPECT_EQ(auth.epoch(), 1u);
+  EXPECT_EQ(auth.epoch_info().id, 1u);
   EXPECT_EQ(auth.swaps_completed(), 0u);
   EXPECT_EQ(auth.swaps_rolled_back(), 4u);
   const auto after = auth.classify_batch(reports);
@@ -155,7 +148,7 @@ TEST(LifecycleTest, EveryFailureModeRollsBackAndKeepsServingTheIncumbent) {
   }
   // A later valid swap still works: rollback poisons nothing.
   EXPECT_TRUE(auth.swap_model(good).ok());
-  EXPECT_EQ(auth.epoch(), 2u);
+  EXPECT_EQ(auth.epoch_info().id, 2u);
   remove_artifact(good);
 }
 
@@ -165,7 +158,7 @@ TEST(LifecycleTest, EveryFailureModeRollsBackAndKeepsServingTheIncumbent) {
 TEST(LifecycleTest, HundredSwapCyclesUnderConcurrentClassifyLoad) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
   const auto baseline = auth.classify_batch(reports);
   const std::string a = save_artifact(auth, "swap-cycle-a.model");
@@ -198,7 +191,7 @@ TEST(LifecycleTest, HundredSwapCyclesUnderConcurrentClassifyLoad) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& w : workers) w.join();
 
-  EXPECT_EQ(auth.epoch(), 101u);
+  EXPECT_EQ(auth.epoch_info().id, 101u);
   EXPECT_EQ(auth.swaps_completed(), 100u);
   EXPECT_EQ(auth.swaps_rolled_back(), 0u);
   EXPECT_EQ(mismatched.load(), 0u);
@@ -266,7 +259,7 @@ TEST(LifecycleTest, ShadowScorerSamplesOneInN) {
   const auto reports = make_reports();
   serving::ShadowConfig cfg;
   cfg.sample_every = 4;
-  serving::ShadowScorer scorer(make_authenticator(spec), cfg);
+  serving::ShadowScorer scorer(quick_authenticator(spec), cfg);
   for (int i = 0; i < 40; ++i)
     scorer.observe(pending(i % 3, reports[i % reports.size()], 0.01 * i),
                    {0, 0.5});
@@ -284,7 +277,7 @@ TEST(LifecycleTest, ShadowScorerCountsDivergenceAndPromotes) {
   cfg.sample_every = 1;
   cfg.max_divergence = 0.5;
   cfg.min_samples = 8;
-  serving::ShadowScorer scorer(make_authenticator(spec), cfg);
+  serving::ShadowScorer scorer(quick_authenticator(spec), cfg);
 
   // The candidate is deterministic, so feeding ITS OWN prediction as the
   // "primary" verdict controls divergence exactly: agree on stations
@@ -332,7 +325,7 @@ TEST(LifecycleTest, ShadowPromotionDisabledByDefault) {
   serving::ShadowConfig cfg;  // max_divergence < 0: measurement only
   cfg.sample_every = 1;
   cfg.min_samples = 1;
-  serving::ShadowScorer scorer(make_authenticator(spec), cfg);
+  serving::ShadowScorer scorer(quick_authenticator(spec), cfg);
   for (int i = 0; i < 8; ++i) {
     const auto& r = reports[static_cast<std::size_t>(i) % reports.size()];
     scorer.observe(pending(0, r, 0.01 * i), scorer.candidate().classify(r));
@@ -395,7 +388,7 @@ TEST(LifecycleTest, DriftEwmaFlagsRecoversAndResets) {
 TEST(LifecycleTest, ServiceStatsCarryLifecycleCountersAndShadowTapFires) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
 
   serving::ServiceConfig cfg;
@@ -439,7 +432,7 @@ TEST(LifecycleTest, ServiceStatsCarryLifecycleCountersAndShadowTapFires) {
   EXPECT_EQ(snap.lifecycle.swaps_rolled_back, 0u);
   // The new epoch's pool holds just the context the swap warmed.
   EXPECT_EQ(snap.lifecycle.contexts, 1u);
-  EXPECT_EQ(snap.lifecycle.arena_bytes, auth.arena_bytes());
+  EXPECT_EQ(snap.lifecycle.arena_bytes, auth.epoch_info().arena_bytes);
   EXPECT_GT(snap.lifecycle.arena_bytes, 0u);
   EXPECT_EQ(service.sessions().stats().stations_drifting, 0u);
   remove_artifact(path);

@@ -1,5 +1,5 @@
-// In-process loopback end-to-end: NetClient -> TcpIngestServer ->
-// AuthService -> SessionTable -> VerdictPublisher -> VerdictSubscriber,
+// In-process loopback end-to-end: NetClient -> net::Server (TcpIngestServer
+// -> AuthService -> SessionTable -> VerdictPublisher) -> VerdictSubscriber,
 // plus the ingest server's backpressure mapping (kWouldBlock pauses the
 // socket, kRejected counts a drop) and connection-limit/malformed-peer
 // handling — all without forking processes, so the sanitizer and TSan
@@ -8,30 +8,25 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "capture/monitor.h"
-#include "common/hash.h"
-#include "core/model.h"
-#include "core/pipeline.h"
-#include "dataset/features.h"
 #include "dataset/traces.h"
 #include "net/client.h"
 #include "net/ingest_server.h"
 #include "net/protocol.h"
-#include "net/publisher.h"
-#include "serving/service.h"
+#include "net/server.h"
+#include "test_util.h"
 
 namespace deepcsi {
 namespace {
 
 using namespace std::chrono_literals;
+using tests::eventually;
 
 capture::ObservedFeedback sample_observed(int module, double timestamp_s) {
   dataset::Scale scale;
@@ -44,18 +39,6 @@ capture::ObservedFeedback sample_observed(int module, double timestamp_s) {
   obs.beamformer = capture::MacAddress::for_module(module);
   obs.report = trace.snapshots.front().report;
   return obs;
-}
-
-// Spin-wait with timeout for a server-side condition (loopback delivery
-// is asynchronous; never assert immediately on a counter).
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds budget = 5000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(1ms);
-  }
-  return true;
 }
 
 // ------------------------------------------------- ingest server semantics
@@ -213,173 +196,37 @@ TEST(NetIngestTest, ConnectionsBeyondMaxConnsAreRefused) {
 
 // ------------------------------------------------------- full loopback e2e
 
-core::Authenticator quick_authenticator(const dataset::InputSpec& spec) {
-  return core::Authenticator(
-      core::build_deepcsi_model(
-          dataset::num_input_channels(spec),
-          static_cast<int>(dataset::num_input_columns(spec)),
-          phy::kNumModules, core::quick_model_config()),
-      spec);
-}
-
-// `stations` beamformees, station s streaming module-(s % kNumModules)
-// reports, interleaved frame by frame.
-std::vector<capture::ObservedFeedback> multi_station_stream(int stations,
-                                                            int snapshots) {
-  dataset::Scale scale;
-  scale.d1_snapshots_per_trace = snapshots;
-  std::vector<std::vector<feedback::CompressedFeedbackReport>> per_station;
-  for (int s = 0; s < stations; ++s) {
-    const dataset::Trace trace =
-        dataset::generate_d1_trace(s % phy::kNumModules, 1, 0, scale, {});
-    std::vector<feedback::CompressedFeedbackReport> reports;
-    for (const dataset::Snapshot& snap : trace.snapshots)
-      reports.push_back(snap.report);
-    per_station.push_back(std::move(reports));
-  }
-  std::vector<capture::ObservedFeedback> stream;
-  double t = 0.0;
-  for (int i = 0; i < snapshots; ++i) {
-    for (int s = 0; s < stations; ++s) {
-      capture::ObservedFeedback obs;
-      obs.timestamp_s = t;
-      obs.beamformee = capture::MacAddress::for_station(s);
-      obs.beamformer =
-          capture::MacAddress::for_module(s % phy::kNumModules);
-      obs.report = per_station[static_cast<std::size_t>(s)]
-                               [static_cast<std::size_t>(i)];
-      stream.push_back(std::move(obs));
-      t += 0.01;
-    }
-  }
-  return stream;
-}
-
 TEST(NetE2ETest, LoopbackVerdictsMatchTheOfflinePipelineExactly) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = quick_authenticator(spec);
-  const auto stream = multi_station_stream(4, 5);
+  core::Authenticator auth = tests::quick_authenticator(spec);
+  const auto stream = tests::multi_station_stream(4, 5);
+  const serving::ServeOptions o = tests::loopback_options(
+      {{"queue", "64"}, {"consumers", "2"}, {"batch", "8"}, {"publish", "1"}});
+  const auto offline = tests::offline_verdicts(auth, o.service, stream);
 
-  serving::ServiceConfig cfg;
-  cfg.queue_capacity = 64;
-  cfg.consumers = 2;
-  cfg.scheduler.max_batch = 8;
-  cfg.scheduler.max_latency = 2ms;
-  cfg.sessions.window = 31;
-
-  // Offline reference: the plain replay path everyone already trusts.
-  std::vector<serving::StationVerdict> offline;
-  {
-    serving::AuthService service(auth, cfg);
-    service.start();
-    for (const auto& obs : stream) ASSERT_TRUE(service.submit(obs));
-    service.drain();
-    offline = service.sessions().snapshot();
-  }
-
-  // Network path: publisher first (it must outlive the service), then the
-  // service, then ingest — mirroring the CLI's `serve --listen` wiring.
-  net::VerdictPublisher pub({});
-  pub.start();
-  serving::AuthService service(auth, cfg);
-  service.set_verdict_callback([&pub](const serving::StationVerdict& v) {
-    net::VerdictMsg m;
-    m.station = v.station;
-    m.module_id = static_cast<std::int32_t>(v.module_id);
-    m.votes = static_cast<std::uint32_t>(v.votes);
-    m.window_size = static_cast<std::uint32_t>(v.window_size);
-    m.total_reports = v.total_reports;
-    m.mean_confidence = v.mean_confidence;
-    m.last_timestamp_s = v.last_timestamp_s;
-    pub.publish(m);
-  });
-  service.start();
-  net::TcpIngestServer ingest(
-      {}, [&service](capture::ObservedFeedback& obs) {
-        return service.try_submit(obs);
-      });
-  ingest.start();
-
-  auto subscriber = net::VerdictSubscriber::connect("127.0.0.1", pub.port());
-
-  // Three connections, stations sharded by MAC — per-station order holds.
-  std::vector<net::NetClient> clients;
-  for (int i = 0; i < 3; ++i)
-    clients.push_back(net::NetClient::connect("127.0.0.1", ingest.port()));
-  for (const auto& obs : stream) {
-    const std::size_t c =
-        common::mix64(obs.beamformee.to_u64()) % clients.size();
-    ASSERT_TRUE(clients[c].send_report(obs));
-  }
-  for (auto& c : clients) c.close();
-
-  ingest.wait_until_idle();
-  ingest.stop();
-  service.drain();
-  const auto online = service.sessions().snapshot();
-  // Final snapshot + stats over the wire, then flush-and-close.
-  for (const auto& v : online) {
-    net::VerdictMsg m;
-    m.station = v.station;
-    m.module_id = static_cast<std::int32_t>(v.module_id);
-    m.votes = static_cast<std::uint32_t>(v.votes);
-    m.window_size = static_cast<std::uint32_t>(v.window_size);
-    m.total_reports = v.total_reports;
-    m.mean_confidence = v.mean_confidence;
-    m.last_timestamp_s = v.last_timestamp_s;
-    pub.publish(m);
-  }
-  serving::StatsSnapshot stats = service.stats();
-  stats.ingest = ingest.stats();
-  const std::string stats_json = stats.render_json();
-  pub.publish_stats(stats_json);
-  pub.stop(30000ms);
+  // The `serve --listen --publish` stack, over three connections.
+  net::Server server(o, auth);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  auto subscriber =
+      net::VerdictSubscriber::connect("127.0.0.1", server.publish_port());
+  tests::send_sharded(server.ingest_port(), stream, 3);
+  ASSERT_TRUE(tests::wait_classified(server, stream.size()));
+  serving::StatsSnapshot stats = server.drain();
 
   // The server-side table must equal the offline run field for field —
-  // the wire moved bytes, it didn't change them.
-  ASSERT_EQ(online.size(), offline.size());
-  for (std::size_t i = 0; i < offline.size(); ++i) {
-    EXPECT_EQ(online[i].station, offline[i].station);
-    EXPECT_EQ(online[i].module_id, offline[i].module_id);
-    EXPECT_EQ(online[i].votes, offline[i].votes);
-    EXPECT_EQ(online[i].window_size, offline[i].window_size);
-    EXPECT_EQ(online[i].total_reports, offline[i].total_reports);
-    EXPECT_EQ(online[i].mean_confidence, offline[i].mean_confidence);
-    EXPECT_EQ(online[i].last_timestamp_s, offline[i].last_timestamp_s);
-  }
-
-  // And what the subscriber RECEIVED (last update per station wins — the
-  // final snapshot) must match too, bit for bit on the doubles.
-  std::map<capture::MacAddress, net::VerdictMsg> received;
-  std::optional<std::string> received_stats;
-  while (auto frame = subscriber.next_frame()) {
-    const std::span<const std::uint8_t> payload(frame->payload.data(),
-                                                frame->payload.size());
-    if (frame->type ==
-        static_cast<std::uint8_t>(net::FrameType::kVerdictUpdate)) {
-      const auto v = net::decode_verdict(payload);
-      ASSERT_TRUE(v.has_value());
-      received[v->station] = *v;
-    } else if (frame->type ==
-               static_cast<std::uint8_t>(net::FrameType::kStats)) {
-      received_stats.emplace(frame->payload.begin(), frame->payload.end());
-    }
-  }
-  // The stats frame carries the snapshot's JSON byte for byte.
-  EXPECT_EQ(received_stats, stats_json);
-  ASSERT_EQ(received.size(), offline.size());
-  std::size_t i = 0;
-  for (const auto& [mac, v] : received) {  // std::map sorts by MAC like snapshot()
-    EXPECT_EQ(mac, offline[i].station);
-    EXPECT_EQ(v.module_id, offline[i].module_id);
-    EXPECT_EQ(v.votes, offline[i].votes);
-    EXPECT_EQ(v.window_size, offline[i].window_size);
-    EXPECT_EQ(v.total_reports, offline[i].total_reports);
-    EXPECT_EQ(v.mean_confidence, offline[i].mean_confidence);
-    EXPECT_EQ(v.last_timestamp_s, offline[i].last_timestamp_s);
-    ++i;
-  }
+  // the wire moved bytes, it didn't change them — and so must what the
+  // subscriber RECEIVED, bit for bit on the doubles.
+  tests::expect_identical(server.service().sessions().snapshot(), offline);
+  const tests::Published got = tests::read_published(subscriber);
+  tests::expect_published(got, offline);
+  // The stats frame carries the returned snapshot's JSON byte for byte,
+  // less the publish section that counts the frame itself.
+  ASSERT_TRUE(stats.publish.has_value());
+  stats.publish.reset();
+  EXPECT_EQ(got.stats, stats.render_json());
+  EXPECT_EQ(stats.reports_classified, stream.size());
 }
 
 }  // namespace

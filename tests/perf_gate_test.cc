@@ -203,7 +203,7 @@ TEST(PerfGateTest, FleetSoakHoldsTheSessionCeilingAndItsBudgets) {
   const serving::FleetGenerator gen(fc);
   const auto start = std::chrono::steady_clock::now();
   serving::AuthService service(auth, cfg);
-  const serving::FleetRunStats fr =
+  const serving::ReplayResult fr =
       serving::run_fleet(service, gen, /*producers=*/4);
   const double seconds = seconds_since(start);
   const std::size_t rss_after = common::process_rss_bytes();

@@ -23,15 +23,8 @@ namespace {
 
 using tests::available_backends;
 using tests::BackendGuard;
+using tests::quick_authenticator;
 using tests::ThreadGuard;
-
-core::Authenticator make_authenticator(const dataset::InputSpec& spec) {
-  return core::Authenticator(
-      core::build_deepcsi_model(dataset::num_input_channels(spec),
-                                static_cast<int>(dataset::num_input_columns(spec)),
-                                phy::kNumModules, core::quick_model_config()),
-      spec);
-}
 
 std::vector<feedback::CompressedFeedbackReport> make_reports() {
   const dataset::Scale scale{3, 3, 4};
@@ -49,7 +42,7 @@ TEST(PipelineBatchTest, BatchMatchesPerReportClassify) {
   BackendGuard backend_guard;
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = make_authenticator(spec);
+  const core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
   ASSERT_GE(reports.size(), 6u);
 
@@ -72,7 +65,7 @@ TEST(PipelineBatchTest, BatchBitIdenticalAcrossThreadCounts) {
   BackendGuard backend_guard;
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = make_authenticator(spec);
+  const core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
 
   for (const simd::Backend backend : available_backends()) {
@@ -98,7 +91,7 @@ TEST(PipelineBatchTest, ClassifyVerdictsAgreeAcrossBackends) {
   BackendGuard backend_guard;
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
   const auto backends = available_backends();
   if (backends.size() < 2) GTEST_SKIP() << "only one backend available";
@@ -142,14 +135,14 @@ TEST(PipelineBatchTest, ClassifyVerdictsAgreeAcrossBackends) {
 TEST(PipelineBatchTest, EmptyBatchReturnsEmpty) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = make_authenticator(spec);
+  const core::Authenticator auth = quick_authenticator(spec);
   EXPECT_TRUE(auth.classify_batch({}).empty());
 }
 
 TEST(PipelineBatchTest, PredictionsAreValidDistributions) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = make_authenticator(spec);
+  const core::Authenticator auth = quick_authenticator(spec);
   for (const auto& p : auth.classify_batch(make_reports())) {
     EXPECT_GE(p.module_id, 0);
     EXPECT_LT(p.module_id, phy::kNumModules);

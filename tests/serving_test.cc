@@ -30,6 +30,8 @@ namespace {
 using common::OverflowPolicy;
 using common::ReportQueue;
 using serving::FlushReason;
+using tests::expect_identical;
+using tests::quick_authenticator;
 using tests::ThreadGuard;
 
 // ------------------------------------------------------------- ReportQueue
@@ -296,14 +298,6 @@ TEST(SessionTableTest, SnapshotIsSortedByMacAndKeepsStationsApart) {
 
 // ------------------------------------------------------------- AuthService
 
-core::Authenticator make_authenticator(const dataset::InputSpec& spec) {
-  return core::Authenticator(
-      core::build_deepcsi_model(dataset::num_input_channels(spec),
-                                static_cast<int>(dataset::num_input_columns(spec)),
-                                phy::kNumModules, core::quick_model_config()),
-      spec);
-}
-
 // An interleaved two-station stream: station 0 emits module-0 reports,
 // station 1 emits module-1 reports, alternating frame by frame.
 std::vector<capture::ObservedFeedback> make_two_station_stream() {
@@ -344,7 +338,7 @@ serving::ServiceConfig small_service_config() {
 TEST(AuthServiceTest, PerStationVerdictsMatchOfflineMajority) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = make_authenticator(spec);
+  const core::Authenticator auth = quick_authenticator(spec);
   const auto stream = make_two_station_stream();
 
   serving::AuthService service(auth, small_service_config());
@@ -386,7 +380,7 @@ TEST(AuthServiceTest, SingleProducerVerdictsBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = make_authenticator(spec);
+  const core::Authenticator auth = quick_authenticator(spec);
   const auto stream = make_two_station_stream();
 
   auto run_once = [&] {
@@ -404,46 +398,9 @@ TEST(AuthServiceTest, SingleProducerVerdictsBitIdenticalAcrossThreadCounts) {
   const auto verdicts_4t = run_once();
 
   ASSERT_EQ(verdicts_1t.size(), 2u);
-  ASSERT_EQ(verdicts_4t.size(), verdicts_1t.size());
-  for (std::size_t i = 0; i < verdicts_1t.size(); ++i) {
-    EXPECT_EQ(verdicts_1t[i].station, verdicts_4t[i].station);
-    EXPECT_EQ(verdicts_1t[i].module_id, verdicts_4t[i].module_id);
-    EXPECT_EQ(verdicts_1t[i].votes, verdicts_4t[i].votes);
-    EXPECT_EQ(verdicts_1t[i].window_size, verdicts_4t[i].window_size);
-    EXPECT_EQ(verdicts_1t[i].total_reports, verdicts_4t[i].total_reports);
-    // Bit-identical, not approximately equal: same stream order => same
-    // accumulation order => the same doubles.
-    EXPECT_EQ(verdicts_1t[i].mean_confidence, verdicts_4t[i].mean_confidence);
-    EXPECT_EQ(verdicts_1t[i].last_timestamp_s, verdicts_4t[i].last_timestamp_s);
-  }
-}
-
-// A wider interleaved stream so several lanes get work: `stations`
-// beamformees, station s emitting module-(s % kNumModules) reports.
-std::vector<capture::ObservedFeedback> make_multi_station_stream(
-    int stations) {
-  dataset::Scale scale;
-  scale.d1_snapshots_per_trace = 6;
-  std::vector<std::vector<feedback::CompressedFeedbackReport>> per_station;
-  for (int s = 0; s < stations; ++s) {
-    const dataset::Trace trace = dataset::generate_d1_trace(
-        s % phy::kNumModules, 1, 0, scale, {});
-    std::vector<feedback::CompressedFeedbackReport> reports;
-    for (const dataset::Snapshot& snap : trace.snapshots)
-      reports.push_back(snap.report);
-    per_station.push_back(std::move(reports));
-  }
-  std::vector<capture::ObservedFeedback> stream;
-  for (std::size_t i = 0; i < per_station[0].size(); ++i)
-    for (int s = 0; s < stations; ++s) {
-      capture::ObservedFeedback obs;
-      obs.timestamp_s = 0.01 * static_cast<double>(stream.size());
-      obs.beamformee = capture::MacAddress::for_station(s);
-      obs.beamformer = capture::MacAddress::for_module(0);
-      obs.report = per_station[static_cast<std::size_t>(s)][i];
-      stream.push_back(std::move(obs));
-    }
-  return stream;
+  // Bit-identical, not approximately equal: same stream order => same
+  // accumulation order => the same doubles.
+  expect_identical(verdicts_4t, verdicts_1t);
 }
 
 TEST(AuthServiceTest, MultiConsumerVerdictsMatchSingleConsumer) {
@@ -452,8 +409,8 @@ TEST(AuthServiceTest, MultiConsumerVerdictsMatchSingleConsumer) {
   // mean-confidence double — must match the single-consumer run exactly.
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = make_authenticator(spec);
-  const auto stream = make_multi_station_stream(6);
+  const core::Authenticator auth = quick_authenticator(spec);
+  const auto stream = tests::multi_station_stream(6, 6);
 
   auto run_with_consumers = [&](std::size_t consumers) {
     serving::ServiceConfig cfg = small_service_config();
@@ -478,26 +435,17 @@ TEST(AuthServiceTest, MultiConsumerVerdictsMatchSingleConsumer) {
   const auto single = run_with_consumers(1);
   ASSERT_EQ(single.size(), 6u);
   for (const std::size_t consumers : {std::size_t{2}, std::size_t{4}}) {
-    const auto multi = run_with_consumers(consumers);
-    ASSERT_EQ(multi.size(), single.size()) << consumers << " consumers";
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(multi[i].station, single[i].station);
-      EXPECT_EQ(multi[i].module_id, single[i].module_id);
-      EXPECT_EQ(multi[i].votes, single[i].votes);
-      EXPECT_EQ(multi[i].window_size, single[i].window_size);
-      EXPECT_EQ(multi[i].total_reports, single[i].total_reports);
-      // Bit-identical: one station's predictions arrive in stream order
-      // on one lane, so the confidence accumulation order is fixed.
-      EXPECT_EQ(multi[i].mean_confidence, single[i].mean_confidence);
-      EXPECT_EQ(multi[i].last_timestamp_s, single[i].last_timestamp_s);
-    }
+    SCOPED_TRACE(::testing::Message() << consumers << " consumers");
+    // Bit-identical: one station's predictions arrive in stream order on
+    // one lane, so the confidence accumulation order is fixed.
+    expect_identical(run_with_consumers(consumers), single);
   }
 }
 
 TEST(AuthServiceTest, RejectPolicyShedsLoadWithoutLosingAcceptedReports) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  const core::Authenticator auth = make_authenticator(spec);
+  const core::Authenticator auth = quick_authenticator(spec);
   const auto stream = make_two_station_stream();
 
   serving::ServiceConfig cfg = small_service_config();

@@ -16,6 +16,7 @@
 #include "capture/mac.h"
 #include "common/hash.h"
 #include "serving/session_table.h"
+#include "test_util.h"
 
 namespace deepcsi {
 namespace {
@@ -181,18 +182,7 @@ TEST(SessionEvictTest, PartiallyEvictedTableRoundTripsThroughSnapshot) {
   ASSERT_EQ(restored.restore_snapshot(path, &err),
             SessionTable::RestoreStatus::kRestored)
       << err;
-  const std::vector<StationVerdict> a = table.snapshot();
-  const std::vector<StationVerdict> b = restored.snapshot();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].station, b[i].station);
-    EXPECT_EQ(a[i].module_id, b[i].module_id);
-    EXPECT_EQ(a[i].votes, b[i].votes);
-    EXPECT_EQ(a[i].window_size, b[i].window_size);
-    EXPECT_EQ(a[i].total_reports, b[i].total_reports);
-    EXPECT_EQ(a[i].mean_confidence, b[i].mean_confidence);
-    EXPECT_EQ(a[i].last_timestamp_s, b[i].last_timestamp_s);
-  }
+  tests::expect_identical(table.snapshot(), restored.snapshot());
   // The restored table keeps evicting: push past the ceiling again and
   // the cap still holds (LRU order was rebuilt from timestamps).
   for (std::uint64_t s = 1000; s < 1100; ++s) {

@@ -14,6 +14,7 @@
 #include "capture/mac.h"
 #include "common/hash.h"
 #include "serving/session_table.h"
+#include "test_util.h"
 
 namespace deepcsi {
 namespace {
@@ -21,6 +22,7 @@ namespace {
 using serving::SessionConfig;
 using serving::SessionTable;
 using serving::StationVerdict;
+using tests::expect_identical;
 
 std::string scratch_path(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
@@ -45,23 +47,6 @@ void feed(SessionTable& table, std::uint64_t first, std::uint64_t count,
     const auto station = capture::MacAddress::for_station(
         static_cast<int>(i % static_cast<std::uint64_t>(stations)));
     table.record(station, synth_prediction(i), 0.01 * static_cast<double>(i));
-  }
-}
-
-void expect_identical(const std::vector<StationVerdict>& a,
-                      const std::vector<StationVerdict>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].station, b[i].station);
-    EXPECT_EQ(a[i].module_id, b[i].module_id);
-    EXPECT_EQ(a[i].votes, b[i].votes);
-    EXPECT_EQ(a[i].window_size, b[i].window_size);
-    EXPECT_EQ(a[i].total_reports, b[i].total_reports);
-    // Bit-for-bit, not approximately: the snapshot stores the window's
-    // confidence sum exactly so a restored table reports the same mean a
-    // never-restarted process would.
-    EXPECT_EQ(a[i].mean_confidence, b[i].mean_confidence);
-    EXPECT_EQ(a[i].last_timestamp_s, b[i].last_timestamp_s);
   }
 }
 

@@ -41,7 +41,6 @@
 // The tool works on the same artifacts the examples produce (e.g.
 // examples/dataset_export emits .dcst archives and per-trace pcaps).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -52,7 +51,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <sys/stat.h>
 #include <thread>
 #include <vector>
 
@@ -63,8 +61,7 @@
 #include "dataset/io.h"
 #include "dataset/splits.h"
 #include "net/client.h"
-#include "net/ingest_server.h"
-#include "net/publisher.h"
+#include "net/server.h"
 #include "nn/serialize.h"
 #include "nn/simd.h"
 #include "serving/fleet.h"
@@ -409,18 +406,6 @@ int cmd_classify(const Args& args) {
   return 0;
 }
 
-net::VerdictMsg to_verdict_msg(const serving::StationVerdict& v) {
-  net::VerdictMsg m;
-  m.station = v.station;
-  m.module_id = static_cast<std::int32_t>(v.module_id);
-  m.votes = static_cast<std::uint32_t>(v.votes);
-  m.window_size = static_cast<std::uint32_t>(v.window_size);
-  m.total_reports = static_cast<std::uint64_t>(v.total_reports);
-  m.mean_confidence = v.mean_confidence;
-  m.last_timestamp_s = v.last_timestamp_s;
-  return m;
-}
-
 // SIGINT (operator ^C) and SIGTERM (systemd / container stop) share one
 // drain path: stop accepting, classify what is queued, snapshot, exit —
 // an orchestrated shutdown is never state-losing.
@@ -432,21 +417,6 @@ void on_shutdown_signal(int) { g_interrupted = 1; }
 // failed swap logs and keeps serving the incumbent epoch.
 volatile std::sig_atomic_t g_hup = 0;
 void on_hup_signal(int) { g_hup = 1; }
-
-// mtime+size stamp for --model-watch. Nanosecond mtime so back-to-back
-// rewrites in one second still change the stamp.
-struct FileStamp {
-  std::int64_t mtime_ns = -1;  // -1 = file absent
-  std::int64_t size = -1;
-  bool operator==(const FileStamp&) const = default;
-};
-FileStamp stamp_of(const std::string& path) {
-  struct ::stat st{};
-  if (::stat(path.c_str(), &st) != 0) return {};
-  return {static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-              static_cast<std::int64_t>(st.st_mtim.tv_nsec),
-          static_cast<std::int64_t>(st.st_size)};
-}
 
 void print_verdicts(const serving::AuthService& service,
                     const serving::ServiceConfig& cfg) {
@@ -472,100 +442,19 @@ void write_stats_json(const std::string& path,
   }
 }
 
-// `serve --listen`: the same service, fed over TCP. Construction order
-// matters — the publisher must outlive the service because lane threads
-// call the verdict callback until drain() completes. All knob validation
-// already happened in ServeOptions::parse.
+// `serve --listen`: the same service, fed over TCP. net::Server owns the
+// composition and its policies; this is parse, run, print. All knob
+// validation already happened in ServeOptions::parse.
 int cmd_serve_listen(const Args& args, const serving::ServeOptions& o) {
-  const serving::ServiceConfig& cfg = o.service;
-  const std::string& state_file = o.state_file;
-  // Queue-depth watermarks for load shedding: above shed_high queued
-  // reports, NEW connections are refused at accept (the cheapest work to
-  // sacrifice — established streams keep flowing and in-flight reports
-  // keep classifying); accepting resumes once depth falls back under
-  // shed_low. The low watermark gives hysteresis so a depth hovering at
-  // the threshold does not flap the gate on every accept.
-  const int shed_high = o.shed_high;
-  const int shed_low = o.shed_low;
-
   core::Authenticator auth = load_authenticator(args);
-
-  std::optional<net::VerdictPublisher> pub;
-  if (o.publish) {
-    net::PublisherConfig pcfg;
-    pcfg.port = o.publish_port;
-    pcfg.max_conns = static_cast<std::size_t>(o.max_conns);
-    pub.emplace(pcfg);
-    pub->start();
+  std::optional<core::Authenticator> shadow;
+  if (!o.shadow_model.empty()) shadow = load_candidate(o.shadow_model, auth);
+  net::Server server(o, auth, std::move(shadow));
+  std::string err;
+  if (!server.start(&err)) {
+    std::fprintf(stderr, "serve: %s\n", err.c_str());
+    return 1;
   }
-
-  // Shadow scorer before the service: lane threads call observe() until
-  // drain() completes, so the scorer must outlive the service.
-  std::optional<serving::ShadowScorer> shadow;
-  if (!o.shadow_model.empty()) {
-    serving::ShadowConfig scfg;
-    scfg.sample_every = static_cast<std::size_t>(o.shadow_sample);
-    scfg.max_divergence = o.promote_below;
-    scfg.min_samples = static_cast<std::uint64_t>(o.promote_min);
-    shadow.emplace(load_candidate(o.shadow_model, auth), scfg);
-    std::printf("serve: shadow-scoring %s on 1-in-%d of the stream%s\n",
-                o.shadow_model.c_str(), o.shadow_sample,
-                o.promote_below >= 0.0 ? " (auto-promote armed)" : "");
-  }
-
-  serving::AuthService service(auth, cfg);
-  if (pub)
-    service.set_verdict_callback([&pub](const serving::StationVerdict& v) {
-      pub->publish(to_verdict_msg(v));
-    });
-  if (shadow)
-    service.set_shadow_callback(
-        [&shadow](const serving::PendingReport& r,
-                  const core::Authenticator::Prediction& p) {
-          shadow->observe(r, p);
-        });
-  if (!state_file.empty()) {
-    // Restore BEFORE any report flows: rolling majorities pick up where
-    // the previous process (clean exit or kill -9) last snapshotted.
-    std::string err;
-    switch (service.restore_sessions(state_file, &err)) {
-      case serving::SessionTable::RestoreStatus::kRestored:
-        std::printf("serve: restored %zu station session(s) from %s\n",
-                    service.sessions().num_stations(), state_file.c_str());
-        break;
-      case serving::SessionTable::RestoreStatus::kNoFile:
-        std::printf("serve: no session snapshot at %s, starting cold\n",
-                    state_file.c_str());
-        break;
-      case serving::SessionTable::RestoreStatus::kCorrupt:
-        // A damaged snapshot is refused loudly, never half-loaded: the
-        // operator decides whether to delete it and start cold.
-        std::fprintf(stderr, "serve: %s\n", err.c_str());
-        return 1;
-    }
-  }
-  service.start();
-
-  std::atomic<bool> shedding{false};
-  net::IngestConfig icfg;
-  icfg.port = o.listen_port;
-  icfg.max_conns = static_cast<std::size_t>(o.max_conns);
-  icfg.accept_gate = [&service, &shedding, shed_high, shed_low] {
-    const std::size_t depth = service.queue_depth();
-    bool shed = shedding.load(std::memory_order_relaxed);
-    if (!shed && depth >= static_cast<std::size_t>(shed_high))
-      shed = true;
-    else if (shed && depth <= static_cast<std::size_t>(shed_low))
-      shed = false;
-    shedding.store(shed, std::memory_order_relaxed);
-    return !shed;
-  };
-  net::TcpIngestServer ingest(icfg,
-                              [&service](capture::ObservedFeedback& obs) {
-                                return service.try_submit(obs);
-                              });
-  ingest.start();
-
   if (!o.port_file.empty()) {
     // Readiness signal for drivers racing a freshly forked server: the
     // file appears only once both sockets are bound and accepting, and
@@ -573,137 +462,40 @@ int cmd_serve_listen(const Args& args, const serving::ServeOptions& o) {
     // torn line.
     try {
       common::write_file_atomic(
-          o.port_file, std::to_string(ingest.port()) + " " +
-                           std::to_string(pub ? pub->port() : 0u) + "\n");
+          o.port_file, std::to_string(server.ingest_port()) + " " +
+                           std::to_string(server.publish_port()) + "\n");
     } catch (const std::exception& e) {
       std::fprintf(stderr, "serve: cannot write --port-file: %s\n", e.what());
       return 1;
     }
   }
+  const std::uint16_t pub_port = server.publish_port();
   const std::string publish_note =
-      pub ? ", publishing verdicts on " + std::to_string(pub->port()) : "";
+      o.publish ? ", publishing verdicts on " + std::to_string(pub_port) : "";
   std::printf("serve: ingest on %u%s, %zu consumer lane(s), max %d "
               "connection(s)%s\n",
-              ingest.port(), publish_note.c_str(), service.num_lanes(),
-              o.max_conns, o.once ? ", exiting after first client wave" : "");
+              server.ingest_port(), publish_note.c_str(),
+              server.service().num_lanes(), o.max_conns,
+              o.once ? ", exiting after first client wave" : "");
 
   std::signal(SIGINT, on_shutdown_signal);
   std::signal(SIGTERM, on_shutdown_signal);
   std::signal(SIGHUP, on_hup_signal);
-  auto last_save = std::chrono::steady_clock::now();
-  const auto maybe_snapshot = [&] {
-    if (state_file.empty()) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (now - last_save < std::chrono::milliseconds(o.state_interval_ms))
-      return;
-    try {
-      service.save_sessions(state_file);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "serve: session snapshot failed: %s\n", e.what());
-    }
-    last_save = now;
-  };
-
-  // ------------------------------------------------ model lifecycle
-  const std::string model_path = args.get("model");
-  const auto attempt_swap = [&](const std::string& path, const char* trigger) {
-    const core::Authenticator::SwapResult r = auth.swap_model(path);
-    if (r.ok()) {
-      service.on_model_swapped();  // drift EWMA re-warms under new weights
-      std::printf("serve: model hot-swapped (%s) -> epoch %llu\n", trigger,
-                  static_cast<unsigned long long>(r.epoch));
-      std::fflush(stdout);  // drills tail the log for this line
+  while (g_interrupted == 0) {
+    if (o.once) {
+      if (server.wait_until_idle_for(std::chrono::milliseconds(200))) break;
     } else {
-      std::fprintf(stderr,
-                   "serve: model swap REFUSED (%s): %s — still serving "
-                   "epoch %llu\n",
-                   trigger, r.error.c_str(),
-                   static_cast<unsigned long long>(r.epoch));
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
     }
-    return r.ok();
-  };
-  // --model-watch: swap only once the stamp is STABLE across two polls
-  // (changed since the last attempt AND unchanged since the last look) —
-  // our own artifacts rename atomically, but external cp pipelines do
-  // not, and half a weights file must never reach the loader.
-  FileStamp watch_prev = stamp_of(model_path);
-  FileStamp watch_attempted = watch_prev;
-  auto last_watch = std::chrono::steady_clock::now();
-  const auto lifecycle_tick = [&] {
     if (g_hup != 0) {
       g_hup = 0;
-      attempt_swap(model_path, "SIGHUP");
+      server.swap_model("SIGHUP");
     }
-    if (o.model_watch_ms > 0) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_watch >= std::chrono::milliseconds(o.model_watch_ms)) {
-        last_watch = now;
-        const FileStamp cur = stamp_of(model_path);
-        if (cur.mtime_ns >= 0 && cur != watch_attempted && cur == watch_prev) {
-          watch_attempted = cur;
-          attempt_swap(model_path, "watch");
-        }
-        watch_prev = cur;
-      }
-    }
-    if (shadow && shadow->promotable()) {
-      // One promotion offer per candidate — win or lose, never retried
-      // on every tick (a refused candidate stays in shadow, its stats
-      // keep accumulating for the operator to inspect).
-      shadow->mark_promoted();
-      attempt_swap(o.shadow_model, "shadow-promotion");
-    }
-  };
-
-  if (o.once) {
-    while (g_interrupted == 0 &&
-           !ingest.wait_until_idle_for(std::chrono::milliseconds(200))) {
-      lifecycle_tick();
-      maybe_snapshot();
-    }
-  } else {
-    while (g_interrupted == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      lifecycle_tick();
-      maybe_snapshot();
-    }
+    server.tick();
   }
   if (g_interrupted != 0) std::printf("serve: signal received, draining\n");
-  ingest.stop();
-  service.drain();  // queued reports classify; verdict callbacks still fire
-  if (!state_file.empty()) {
-    // Final snapshot after the drain so a clean shutdown persists every
-    // classified report, not just the last periodic cut.
-    try {
-      service.save_sessions(state_file);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "serve: final session snapshot failed: %s\n",
-                   e.what());
-    }
-  }
-
-  serving::StatsSnapshot stats = service.stats();
-  if (shadow) {
-    // Lane threads are joined (drain), so the tap is quiet: score what is
-    // still queued, then fold the tallies into the snapshot.
-    shadow->stop();
-    stats.shadow = shadow->stats();
-  }
-  stats.ingest = ingest.stats();  // stopped above: the counts are final
-  if (pub) {
-    // Authoritative end-of-run state: a full verdict snapshot (covers
-    // subscribers that connected after early transitions), then the
-    // snapshot itself as the last frame, flushed before the publisher
-    // closes. Its publish section is the one thing the frame cannot
-    // carry — it counts that frame — so it is set only afterwards.
-    for (const serving::StationVerdict& v : service.sessions().snapshot())
-      pub->publish(to_verdict_msg(v));
-    pub->publish_stats(stats.render_json());
-    pub->stop();
-    stats.publish = pub->stats();
-  }
-
-  print_verdicts(service, cfg);
+  const serving::StatsSnapshot stats = server.drain();
+  print_verdicts(server.service(), o.service);
   std::printf("\n%s", stats.render_text().c_str());
   write_stats_json(o.stats_json, stats);
   return stats.reports_classified > 0 ? 0 : 1;
@@ -841,7 +633,7 @@ int cmd_fleet(const Args& args) {
               o.service.consumers, o.service.sessions.num_shards);
 
   serving::AuthService service(auth, o.service);
-  const serving::FleetRunStats fr = serving::run_fleet(service, gen, producers);
+  const serving::ReplayResult fr = serving::run_fleet(service, gen, producers);
   serving::StatsSnapshot stats = service.stats();
   stats.reports_offered = fr.offered;
   stats.reports_accepted = fr.accepted;
