@@ -299,6 +299,7 @@ const SimdOps* active_table() {
 // compiled with -mavx2 -mfma).
 const SimdOps* avx2_ops();
 const SimdOps* avx2_int8_ops();
+void append_avx2_int8_gemm_kernels(std::vector<Int8GemmKernel>& out);
 #endif
 
 namespace {
@@ -374,6 +375,14 @@ std::vector<Backend> available_backends() {
     if (!needs_avx2(entry.id) ||
         (compiled_with_avx2() && cpu_supports_avx2()))
       out.push_back(entry.id);
+  return out;
+}
+
+std::vector<Int8GemmKernel> int8_gemm_kernels() {
+  std::vector<Int8GemmKernel> out;
+#if DEEPCSI_HAVE_AVX2
+  if (cpu_supports_avx2()) append_avx2_int8_gemm_kernels(out);
+#endif
   return out;
 }
 

@@ -17,10 +17,12 @@
 //     (nn/simd_avx2_int8.cc, same -mavx2 -mfma single-TU rule):
 //     per-output-row symmetric int8 weights x per-tensor u8 activations
 //     via _mm256_maddubs_epi16/_mm256_madd_epi16 dot products accumulated
-//     in int32. Conv2d/Dense run quantized ONLY when this backend is
-//     active AND the layer holds calibrated int8 weights (see
-//     nn/quantize.h); uncalibrated models degrade gracefully to the fp32
-//     avx2 kernels. Same availability condition as kAvx2.
+//     in int32. On a CPU with AVX-512 VNNI the conv GEMM entry is a
+//     512-bit vpdpbusd kernel instead (see int8_gemm_kernels); the bits
+//     are the same. Conv2d/Dense run quantized ONLY when this backend
+//     is active AND the layer holds calibrated int8 weights (see
+//     nn/quantize.h); uncalibrated models degrade gracefully to the
+//     fp32 avx2 kernels. Same availability condition as kAvx2.
 //
 // Selection happens once, at first use: the DEEPCSI_SIMD environment
 // variable ("avx2", "avx2_int8" or "scalar") overrides; otherwise CPUID
@@ -156,10 +158,14 @@ struct SimdOps {
   //   c[r*ldc + j] = fma(float(acc - corr[r]), dequant[r],
   //                      bias ? bias[r] : 0.0f)
   // The panel interleaves eight consecutive k rows per column so one
-  // 64-bit unit feeds the kernel's two-maddubs i16 accumulation; weight
-  // rows are plain row-major s8, zero-padded to lda = 8 * ko. Same
-  // |w| <= 31 no-saturation contract as dot_s8u8 — that is what makes
-  // the i16 folding exact and the output bit-identical to int8ref.
+  // 64-bit unit is one column's oct: the avx2 kernel's two-maddubs i16
+  // accumulation consumes it, and eight columns make the one 64-byte
+  // line the AVX-512 VNNI kernel loads. Weight rows are plain row-major
+  // s8, zero-padded to lda = 8 * ko. Same |w| <= 31 no-saturation
+  // contract as dot_s8u8 — that is what makes the maddubs kernel's i16
+  // folding exact and its output bit-identical to int8ref. The VNNI
+  // kernel (vpdpbusd, i32 sums, no saturation) is exact without the
+  // band and keeps the same format.
   void (*gemm_s8u8)(std::size_t nrows, std::size_t n, std::size_t ko,
                     const std::int8_t* a, std::size_t lda,
                     const std::uint8_t* bq, const std::int32_t* corr,
@@ -181,6 +187,19 @@ void gemm_s8u8(std::size_t nrows, std::size_t n, std::size_t ko,
                const std::int32_t* corr, const float* dequant,
                const float* bias, float* c, std::size_t ldc);
 }  // namespace int8ref
+
+// One optimized gemm_s8u8 implementation and its name.
+struct Int8GemmKernel {
+  const char* name;  // "avx2_maddubs" or "avx512_vnni"
+  decltype(SimdOps::gemm_s8u8) fn;
+};
+
+// Every optimized gemm_s8u8 this build and host can run: the avx2
+// maddubs kernel when the avx2 backend is available, then the AVX-512
+// VNNI kernel when the CPU also reports AVX-512 VNNI and BW. The
+// avx2_int8 table uses the last entry. Tests pin each one against
+// int8ref, not only the table's pick; empty on hosts without AVX2.
+std::vector<Int8GemmKernel> int8_gemm_kernels();
 
 // True when the running CPU reports AVX2 and FMA.
 bool cpu_supports_avx2();

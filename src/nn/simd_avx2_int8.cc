@@ -18,6 +18,12 @@
 // loops — pinned by tests/quantize_test.cc — which also makes them
 // trivially deterministic across thread counts and chunkings.
 //
+// On a CPU with AVX-512 VNNI the table's conv GEMM is a second kernel
+// over the same panel (see "GEMM, AVX-512 VNNI" below): vpdpbusd sums
+// byte products straight into i32 without saturating, so it is exact
+// without the [-31, 31] band — only the maddubs folding needs it — and
+// its outputs are the same bits. The weight format stays as it is.
+//
 // GEMM data layout (see nn/simd.h): the activation panel is OCT-packed —
 // column j of oct o holds the eight k-values 8o..8o+7 as one contiguous
 // 64-bit unit at bq + (o * np + j) * 8, with np = (n + 7) & ~7 so every
@@ -37,6 +43,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 namespace deepcsi::simd {
 namespace {
@@ -323,6 +330,132 @@ void gemm_s8u8_avx2(std::size_t nrows, std::size_t n, std::size_t ko,
              bias != nullptr ? bias[r] : 0.0f, c + r * ldc);
 }
 
+// ------------------------------------------------ GEMM, AVX-512 VNNI
+//
+// The same oct panel read 512 bits at a time: one 64-byte load is
+// exactly eight columns x one oct, and vpdpbusd sums each column's u8 x
+// s8 byte quads straight into i32 lanes (no i16 stage, so no weight
+// band). Each column lands as two i32 partials (k 0-3 and 4-7 of every
+// oct), folded once per tile in the epilogue. Compiled for AVX-512 by
+// the target pragma below, not by a per-file flag (so every build that
+// compiles this TU with -mavx2 -mfma gets it), and reached only when
+// the CPU reports the ISA (cpu_supports_avx512_vnni; libgcc also checks
+// that the OS saves zmm state). The _mm512_maskz_* conversion with a
+// full mask stands in for the unmasked form, whose _mm512_undefined_*
+// operand trips gcc 12's -Wuninitialized inside a target region at -O2.
+
+bool cpu_supports_avx512_vnni() {
+  return __builtin_cpu_supports("avx512vnni") &&
+         __builtin_cpu_supports("avx512bw");
+}
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512bw,avx512vnni")
+
+// acc += per-lane sums of four u8 (x) x s8 (w) byte products, i32 and
+// wrapping, i.e. _mm512_dpbusd_epi32. Written as asm because gcc 12
+// copies the intrinsic's accumulator through a spare register on every
+// call, putting a move on each loop-carried chain (measured about 35%
+// slower at the paper conv shapes); the tied "+v" operand keeps each
+// accumulator in one register across the oct loop.
+inline __m512i dpbusd(__m512i acc, __m512i x, __m512i w) {
+  asm("vpdpbusd %2, %1, %0" : "+v"(acc) : "v"(x), "v"(w));
+  return acc;
+}
+
+inline __m512i bcast8_512(const std::int8_t* p) {
+  std::int64_t v;
+  std::memcpy(&v, p, 8);
+  return _mm512_set1_epi64(v);
+}
+
+// Dequantize-and-store one row's 16-column tile: acc0 holds columns
+// j..j+7 and acc1 columns j+8..j+15, two i32 partials per column. The
+// two-source permutes gather the first and the second partials into
+// column order; then the reference's float sequence, as in
+// store_deq_cols. rem < 16 stores only the first rem lanes.
+inline void store_deq_cols16(float* c, __m512i acc0, __m512i acc1,
+                             std::int32_t corr, float dq, float b,
+                             std::size_t rem) {
+  const __m512i first = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                          20, 22, 24, 26, 28, 30);
+  const __m512i second = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17,
+                                           19, 21, 23, 25, 27, 29, 31);
+  const __m512i sums =
+      _mm512_add_epi32(_mm512_permutex2var_epi32(acc0, first, acc1),
+                       _mm512_permutex2var_epi32(acc0, second, acc1));
+  const __m512 f = _mm512_maskz_cvtepi32_ps(
+      0xFFFF, _mm512_sub_epi32(sums, _mm512_set1_epi32(corr)));
+  const __m512 y = _mm512_fmadd_ps(f, _mm512_set1_ps(dq), _mm512_set1_ps(b));
+  const __mmask16 mask =
+      rem >= 16 ? __mmask16{0xFFFF}
+                : static_cast<__mmask16>((1u << rem) - 1);
+  _mm512_mask_storeu_ps(c, mask, y);
+}
+
+// kRows C rows x 16 columns (kWide) or 8 columns from column j: per
+// oct, one or two panel lines shared by every row and one weight-oct
+// broadcast per row. The 4-row wide tile keeps eight accumulators. The
+// 8-column form is the tail when np is not a multiple of 16; its acc1
+// stays zero and its lanes are never stored.
+template <std::size_t kRows, bool kWide>
+__attribute__((always_inline)) inline void tile_vnni(
+    std::size_t n, std::size_t j, std::size_t np, std::size_t ko,
+    const std::int8_t* a, std::size_t lda, const std::uint8_t* bq,
+    const std::int32_t* corr, const float* dq, const float* bias, float* c,
+    std::size_t ldc) {
+  __m512i acc0[kRows], acc1[kRows];
+  for (std::size_t r = 0; r < kRows; ++r)
+    acc0[r] = acc1[r] = _mm512_setzero_si512();
+  for (std::size_t o = 0; o < ko; ++o) {
+    const std::uint8_t* bp = bq + (o * np + j) * 8;
+    const __m512i v0 = _mm512_loadu_si512(bp);
+    __m512i v1 = _mm512_setzero_si512();
+    if constexpr (kWide) v1 = _mm512_loadu_si512(bp + 64);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const __m512i w = bcast8_512(a + r * lda + o * 8);
+      acc0[r] = dpbusd(acc0[r], v0, w);
+      if constexpr (kWide) acc1[r] = dpbusd(acc1[r], v1, w);
+    }
+  }
+  for (std::size_t r = 0; r < kRows; ++r)
+    store_deq_cols16(c + r * ldc + j, acc0[r], acc1[r], corr[r], dq[r],
+                     bias != nullptr ? bias[r] : 0.0f, n - j);
+}
+
+// kRows (4, or 1 for the rows a 4-row block leaves over and the
+// attention conv's single filter) C rows across all n columns:
+// 16-column tiles while they fit in the np-wide panel, then at most one
+// 8-column tail. noinline for the reason rows4_s8 gives.
+template <std::size_t kRows>
+__attribute__((noinline)) void rows_vnni(
+    std::size_t n, std::size_t np, std::size_t ko, const std::int8_t* a,
+    std::size_t lda, const std::uint8_t* bq, const std::int32_t* corr,
+    const float* dq, const float* bias, float* c, std::size_t ldc) {
+  std::size_t j = 0;
+  for (; j + 16 <= np; j += 16)
+    tile_vnni<kRows, true>(n, j, np, ko, a, lda, bq, corr, dq, bias, c, ldc);
+  if (j < n)
+    tile_vnni<kRows, false>(n, j, np, ko, a, lda, bq, corr, dq, bias, c, ldc);
+}
+
+void gemm_s8u8_avx512_vnni(std::size_t nrows, std::size_t n, std::size_t ko,
+                           const std::int8_t* a, std::size_t lda,
+                           const std::uint8_t* bq, const std::int32_t* corr,
+                           const float* dequant, const float* bias, float* c,
+                           std::size_t ldc) {
+  const std::size_t np = (n + 7) & ~std::size_t{7};
+  std::size_t r = 0;
+  for (; r + 4 <= nrows; r += 4)
+    rows_vnni<4>(n, np, ko, a + r * lda, lda, bq, corr + r, dequant + r,
+                 bias != nullptr ? bias + r : nullptr, c + r * ldc, ldc);
+  for (; r < nrows; ++r)
+    rows_vnni<1>(n, np, ko, a + r * lda, lda, bq, corr + r, dequant + r,
+                 bias != nullptr ? bias + r : nullptr, c + r * ldc, ldc);
+}
+
+#pragma GCC pop_options
+
 }  // namespace
 
 // Defined in nn/simd_avx2.cc; both TUs are -mavx2 -mfma.
@@ -330,7 +463,8 @@ const SimdOps* avx2_ops();
 
 // The kAvx2Int8 table: the fp32 avx2 kernels (SELU epilogues, the
 // non-quantized layers, the feedback codec) with the live int8 kernels
-// swapped in. Looked up by the dispatcher in nn/simd.cc (only under
+// swapped in — the conv GEMM being the AVX-512 VNNI kernel on a CPU
+// that has it. Looked up by the dispatcher in nn/simd.cc (only under
 // DEEPCSI_HAVE_AVX2).
 const SimdOps* avx2_int8_ops() {
   static const SimdOps table = [] {
@@ -338,10 +472,19 @@ const SimdOps* avx2_int8_ops() {
     t.id = Backend::kAvx2Int8;
     t.quantize_u8 = quantize_u8_avx2;
     t.dot_s8u8 = dot_s8u8_avx2;
-    t.gemm_s8u8 = gemm_s8u8_avx2;
+    t.gemm_s8u8 = cpu_supports_avx512_vnni() ? gemm_s8u8_avx512_vnni
+                                             : gemm_s8u8_avx2;
     return t;
   }();
   return &table;
+}
+
+// The entries of simd::int8_gemm_kernels() (nn/simd.cc) on an AVX2
+// host, the avx2_int8 table's pick last.
+void append_avx2_int8_gemm_kernels(std::vector<Int8GemmKernel>& out) {
+  out.push_back({"avx2_maddubs", gemm_s8u8_avx2});
+  if (cpu_supports_avx512_vnni())
+    out.push_back({"avx512_vnni", gemm_s8u8_avx512_vnni});
 }
 
 }  // namespace deepcsi::simd

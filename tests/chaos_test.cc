@@ -133,7 +133,8 @@ TEST(ChaosTest, InjectedResetsWithReconnectDeliverEveryReportExactlyOnce) {
   // resends the WHOLE frame, the server discards the partial tail at
   // EOF, so every report lands exactly once. (No live publisher here:
   // its sends share the net.send site, and killing the verdict stream is
-  // the subscriber-reconnect scenario of `drive --resubscribe`.)
+  // the subscriber-reconnect scenario of `drive --resubscribe`, covered
+  // by ServerTest.SeveredVerdictStreamResubscribesToTheFullSnapshot.)
   struct Sink {
     std::mutex mu;
     std::vector<double> timestamps;

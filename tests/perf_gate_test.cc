@@ -68,6 +68,13 @@ double best_reports_per_second(std::size_t n, int reps, Body&& body) {
   return best;
 }
 
+// Name of the int8 conv GEMM kernel the active table runs.
+const char* active_int8_gemm() {
+  for (const simd::Int8GemmKernel& k : simd::int8_gemm_kernels())
+    if (k.fn == simd::ops().gemm_s8u8) return k.name;
+  return "int8ref";
+}
+
 // The paper architecture (5 convs x 128 filters, ~489k parameters) at
 // the full 234-column input width, untrained and calibrated on synthetic
 // activations. Its forward is ~77% conv GEMM, the workload the int8
@@ -108,8 +115,13 @@ TEST(PerfGateTest, PaperModelInt8ForwardIsAtLeastTwiceAvx2) {
     const std::uint64_t before = nn::int8_kernel_dispatches();
     const double rps =
         best_reports_per_second(kBatch, 5, [&] { ctx.run(kBatch); });
-    std::printf("paper model, 1 thread, batch %zu, %s: %.1f reports/s\n",
-                kBatch, simd::name(backend), rps);
+    // The int8 row names the conv GEMM kernel it ran, so a thin or red
+    // ratio can be traced to the kernel this host selected.
+    const bool quantized = backend == simd::Backend::kAvx2Int8;
+    std::printf("paper model, 1 thread, batch %zu, %s: %.1f reports/s%s%s\n",
+                kBatch, simd::name(backend), rps,
+                quantized ? ", conv GEMM kernel " : "",
+                quantized ? active_int8_gemm() : "");
     if (backend == simd::Backend::kAvx2) {
       fp32 = rps;
     } else {

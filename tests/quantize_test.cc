@@ -23,6 +23,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/parallel.h"
@@ -292,17 +293,31 @@ TEST(Int8KernelTest, Avx2KernelsBitIdenticalToScalarReference) {
         << "k=" << k;
   }
 
-  // gemm_s8u8: shapes straddling the 8-wide column tiles (full, masked
-  // remainder, single column), the 4-row blocks, and odd/even oct
-  // counts. Outputs must be byte-identical. The panel follows the
-  // oct-packed contract: np column units per oct, pad columns zero.
-  for (const auto& [nrows, n, ko] :
-       {std::tuple<std::size_t, std::size_t, std::size_t>{1, 1, 1},
-        {4, 16, 3},
-        {5, 17, 7},
-        {2, 14, 5},
-        {3, 40, 16},
-        {9, 100, 29}}) {
+  // gemm_s8u8: EVERY kernel this host can run, not only the table's
+  // pick, over shapes straddling the 8-wide maddubs tiles (full, masked
+  // remainder, single column), the VNNI kernel's 16-column step and its
+  // 8-column half tile, the 4-row blocks, the 1-row attention conv, and
+  // odd/even oct counts up to the paper model's 112. The panel follows
+  // the oct-packed contract (np column units per oct, pad columns zero)
+  // and every buffer is sized exactly, so the ASan leg catches a read
+  // past the panel or a write past C. Outputs must be byte-identical.
+  using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;
+  std::vector<Shape> shapes = {
+      {1, 1, 1}, {4, 16, 3}, {5, 17, 7}, {2, 14, 5}, {3, 40, 16}, {9, 100, 29}};
+  constexpr std::size_t kRows[] = {1, 4, 5, 128};
+  constexpr std::size_t kCols[] = {8, 9, 15, 16, 24, 117, 234};
+  constexpr std::size_t kOcts[] = {1, 2, 5, 112};
+  for (const std::size_t nrows : kRows)
+    for (const std::size_t n : kCols)
+      for (const std::size_t ko : kOcts) shapes.emplace_back(nrows, n, ko);
+  const std::vector<simd::Int8GemmKernel> kernels = simd::int8_gemm_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.back().fn, ops.gemm_s8u8)
+      << "the avx2_int8 table runs the last listed kernel";
+  for (std::size_t si = 0; si < shapes.size(); ++si) {
+    const auto [nrows, n, ko] = shapes[si];
+    // Every other shape runs without a bias, as the attention conv does.
+    const bool with_bias = si % 2 == 0;
     const std::size_t lda = 8 * ko;
     const std::size_t np = (n + 7) & ~std::size_t{7};
     std::vector<std::int8_t> a(nrows * lda);
@@ -321,15 +336,18 @@ TEST(Int8KernelTest, Avx2KernelsBitIdenticalToScalarReference) {
       dequant[r] = 0.001f * static_cast<float>(r + 1);
       bias[r] = 0.1f * static_cast<float>(r) - 0.2f;
     }
-    std::vector<float> ref(nrows * n), got(nrows * n);
+    std::vector<float> ref(nrows * n);
+    const float* b = with_bias ? bias.data() : nullptr;
     simd::int8ref::gemm_s8u8(nrows, n, ko, a.data(), lda, bq.data(),
-                             corr.data(), dequant.data(), bias.data(),
-                             ref.data(), n);
-    ops.gemm_s8u8(nrows, n, ko, a.data(), lda, bq.data(), corr.data(),
-                  dequant.data(), bias.data(), got.data(), n);
-    EXPECT_EQ(std::memcmp(ref.data(), got.data(), nrows * n * sizeof(float)),
-              0)
-        << "nrows=" << nrows << " n=" << n << " ko=" << ko;
+                             corr.data(), dequant.data(), b, ref.data(), n);
+    for (const simd::Int8GemmKernel& kernel : kernels) {
+      std::vector<float> got(nrows * n);
+      kernel.fn(nrows, n, ko, a.data(), lda, bq.data(), corr.data(),
+                dequant.data(), b, got.data(), n);
+      EXPECT_EQ(
+          std::memcmp(ref.data(), got.data(), nrows * n * sizeof(float)), 0)
+          << kernel.name << " nrows=" << nrows << " n=" << n << " ko=" << ko;
+    }
   }
 }
 

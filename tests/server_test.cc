@@ -1,7 +1,8 @@
 // net::Server's own policies, in process: the --model-watch hot swap and
 // its "stable across two polls" rule, kill-and-restore from the periodic
-// session snapshot, and the shed gate's hysteresis. These are the
-// behaviours only `serve --listen` has; running them here puts them under
+// session snapshot, a subscriber's resubscribe after its verdict stream
+// dropped, and the shed gate's hysteresis. These are the behaviours only
+// `serve --listen` and `drive` have; running them here puts them under
 // every sanitizer leg and a debugger.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/model.h"
 #include "core/pipeline.h"
 #include "net/client.h"
@@ -208,6 +210,51 @@ TEST(ServerTest, PeriodicSnapshotRestoresIntoASecondServer) {
   tests::expect_identical(second.service().sessions().snapshot(), reference);
   tests::expect_published(tests::read_published(subscriber), reference);
   fs::remove_all(dir);
+}
+
+// What `drive --resubscribe` relies on: the verdict stream drops before
+// the final stats frame (a reset injected into the subscriber's
+// receive), the subscriber redials as cmd_drive does, and the drain's
+// full verdict snapshot and stats frame still reach it — so its last
+// verdict per station equals an unbroken offline replay.
+TEST(ServerTest, SeveredVerdictStreamResubscribesToTheFullSnapshot) {
+  core::Authenticator auth = tests::quick_authenticator(test_spec());
+  const auto stream = tests::multi_station_stream(3, 8);
+  const std::size_t half = stream.size() / 2;
+  const std::span<const capture::ObservedFeedback> all(stream);
+  const serving::ServeOptions o = tests::loopback_options({{"publish", "1"}});
+  const auto reference = tests::offline_verdicts(auth, o.service, stream);
+
+  net::Server server(o, auth);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  auto subscriber =
+      net::VerdictSubscriber::connect("127.0.0.1", server.publish_port());
+  tests::send_sharded(server.ingest_port(), all.first(half), 1);
+  ASSERT_TRUE(tests::wait_classified(server, half));
+  // Once ingest has closed its connections nothing else receives, so the
+  // one injected reset lands on the subscriber.
+  ASSERT_TRUE(server.wait_until_idle_for(10s));
+  {
+    const common::failpoints::ScopedSpec sever("net.recv=err(ECONNRESET,n=1)");
+    const tests::Published cut = tests::read_published(subscriber);
+    EXPECT_FALSE(cut.stats.has_value());
+    EXPECT_EQ(cut.error, net::FrameAssembler::Error::kNone);
+  }
+  // cmd_drive's redial: its --reconnect policy, 5 attempts when unset.
+  net::ReconnectPolicy policy;
+  policy.attempts = 5;
+  ASSERT_TRUE(subscriber.reconnect(policy));
+
+  tests::send_sharded(server.ingest_port(), all.subspan(half), 1);
+  ASSERT_TRUE(tests::wait_classified(server, stream.size()));
+  serving::StatsSnapshot stats = server.drain();
+
+  const tests::Published got = tests::read_published(subscriber);
+  ASSERT_TRUE(got.stats.has_value());
+  stats.publish.reset();
+  EXPECT_EQ(*got.stats, stats.render_json());
+  tests::expect_published(got, reference);
 }
 
 // The shed gate refuses new connections once depth reaches the high
