@@ -1,24 +1,10 @@
 #include "capture/mac.h"
 
 #include <cstdio>
-#include <stdexcept>
 
 #include "common/check.h"
 
 namespace deepcsi::capture {
-
-MacAddress MacAddress::parse(const std::string& text) {
-  MacAddress mac;
-  unsigned v[6];
-  if (std::sscanf(text.c_str(), "%x:%x:%x:%x:%x:%x", &v[0], &v[1], &v[2],
-                  &v[3], &v[4], &v[5]) != 6)
-    throw std::invalid_argument("bad MAC address: " + text);
-  for (int i = 0; i < 6; ++i) {
-    if (v[i] > 0xFF) throw std::invalid_argument("bad MAC octet: " + text);
-    mac.octets[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v[i]);
-  }
-  return mac;
-}
 
 std::string MacAddress::to_string() const {
   char buf[18];
@@ -53,10 +39,6 @@ MacAddress MacAddress::for_fleet_station(std::uint64_t station_id) {
                      static_cast<std::uint8_t>(station_id >> 16),
                      static_cast<std::uint8_t>(station_id >> 8),
                      static_cast<std::uint8_t>(station_id)}};
-}
-
-MacAddress MacAddress::broadcast() {
-  return MacAddress{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}};
 }
 
 }  // namespace deepcsi::capture

@@ -10,8 +10,7 @@ namespace deepcsi::capture {
 struct MacAddress {
   std::array<std::uint8_t, 6> octets{};
 
-  static MacAddress parse(const std::string& text);  // "aa:bb:cc:dd:ee:ff"
-  std::string to_string() const;
+  std::string to_string() const;  // "aa:bb:cc:dd:ee:ff"
   bool operator==(const MacAddress&) const = default;
   // Lexicographic octet order — lets tables of stations sort and print
   // deterministically.
@@ -31,7 +30,6 @@ struct MacAddress {
   // testbed stations above — and the byte layout those captures bake in
   // stays untouched.
   static MacAddress for_fleet_station(std::uint64_t station_id);
-  static MacAddress broadcast();
 };
 
 }  // namespace deepcsi::capture

@@ -87,7 +87,7 @@ ModelLoadStatus load_model_artifact(
 // The network lives in an immutable SharedModel; every classify call
 // leases a per-thread InferenceContext (pre-planned activation arena)
 // from an internal pool, so ANY number of threads may call classify /
-// classify_batch / authenticate concurrently on one shared Authenticator.
+// classify_batch concurrently on one shared Authenticator.
 // Predictions are bitwise identical whatever the caller count, batch
 // composition or DEEPCSI_THREADS.
 //
@@ -134,11 +134,6 @@ class Authenticator {
   // The serving lanes' form: flat reports, bit-identical predictions.
   void classify_batch_into(std::span<const feedback::AngleCodes> reports,
                            std::span<Prediction> out) const;
-
-  // PHY-layer authentication: does the report's fingerprint match the
-  // claimed module id with at least `min_confidence`?
-  bool authenticate(const feedback::CompressedFeedbackReport& report,
-                    int claimed_module, double min_confidence = 0.5) const;
 
   const dataset::InputSpec& input_spec() const { return spec_; }
   // Current epoch's model. The reference is only stable while no swap

@@ -131,12 +131,4 @@ CompressedFeedbackReport compress_v_series(const std::vector<CMat>& v_per_k,
   return report;
 }
 
-std::vector<CMat> reconstruct_v_series(const CompressedFeedbackReport& report) {
-  std::vector<CMat> out;
-  out.reserve(report.per_subcarrier.size());
-  for (const QuantizedAngles& qa : report.per_subcarrier)
-    out.push_back(reconstruct_v(dequantize(qa, report.quant)));
-  return out;
-}
-
 }  // namespace deepcsi::feedback

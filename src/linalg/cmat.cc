@@ -52,14 +52,6 @@ CMat CMat::conjugate() const {
 
 CMat CMat::hermitian() const { return conjugate().transpose(); }
 
-CMat CMat::operator+(const CMat& other) const {
-  DEEPCSI_CHECK(same_shape(other));
-  CMat m(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    m.data_[i] = data_[i] + other.data_[i];
-  return m;
-}
-
 CMat CMat::operator-(const CMat& other) const {
   DEEPCSI_CHECK(same_shape(other));
   CMat m(rows_, cols_);
@@ -90,30 +82,12 @@ CMat CMat::operator*(cplx scalar) const {
   return m;
 }
 
-CMat& CMat::operator+=(const CMat& other) {
-  DEEPCSI_CHECK(same_shape(other));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-CMat& CMat::operator*=(cplx scalar) {
-  for (auto& v : data_) v *= scalar;
-  return *this;
-}
-
 CMat CMat::first_columns(std::size_t n) const {
   DEEPCSI_CHECK(n <= cols_);
   CMat m(rows_, n);
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < n; ++c) m(r, c) = (*this)(r, c);
   return m;
-}
-
-std::vector<cplx> CMat::column(std::size_t c) const {
-  DEEPCSI_CHECK(c < cols_);
-  std::vector<cplx> v(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) v[r] = (*this)(r, c);
-  return v;
 }
 
 void CMat::set_column(std::size_t c, const std::vector<cplx>& v) {
@@ -148,12 +122,6 @@ void CMat::rotate_rows(std::size_t a, std::size_t b, double c, double s) {
                           flat(data_.data() + b * cols_), cols_, c, s);
 }
 
-void CMat::apply_givens_right(std::size_t a, std::size_t b, double psi) {
-  DEEPCSI_CHECK(a < cols_ && b < cols_ && a != b);
-  const double c = std::cos(psi), s = std::sin(psi);
-  simd::ops().givens_right(flat(data_.data()), rows_, cols_, a, b, c, s);
-}
-
 void CMat::scale_rows_polar(std::size_t first, std::span<const double> phases) {
   DEEPCSI_CHECK(first + phases.size() <= rows_);
   for (std::size_t t = 0; t < phases.size(); ++t)
@@ -166,26 +134,10 @@ void CMat::scale_row_phasor(std::size_t r, cplx phasor) {
                               phasor.real(), phasor.imag());
 }
 
-void CMat::scale_cols_polar(std::size_t first, std::span<const double> phases) {
-  DEEPCSI_CHECK(first + phases.size() <= cols_);
-  const simd::SimdOps& ops = simd::ops();
-  for (std::size_t t = 0; t < phases.size(); ++t) {
-    const cplx f = std::polar(1.0, phases[t]);
-    ops.scale_col_polar(flat(data_.data()), rows_, cols_, first + t, f.real(),
-                        f.imag());
-  }
-}
-
 double CMat::frobenius_norm() const {
   double s = 0.0;
   for (const auto& v : data_) s += std::norm(v);
   return std::sqrt(s);
-}
-
-double CMat::max_abs() const {
-  double s = 0.0;
-  for (const auto& v : data_) s = std::max(s, std::abs(v));
-  return s;
 }
 
 double max_abs_diff(const CMat& a, const CMat& b) {

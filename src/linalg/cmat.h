@@ -52,17 +52,12 @@ class CMat {
   // Hermitian (conjugate transpose), the paper's dagger operator.
   CMat hermitian() const;
 
-  CMat operator+(const CMat& other) const;
   CMat operator-(const CMat& other) const;
   CMat operator*(const CMat& other) const;  // matrix product
   CMat operator*(cplx scalar) const;
 
-  CMat& operator+=(const CMat& other);
-  CMat& operator*=(cplx scalar);
-
   // Columns [0, n) as a new rows() x n matrix (the V_k extraction step).
   CMat first_columns(std::size_t n) const;
-  std::vector<cplx> column(std::size_t c) const;
   void set_column(std::size_t c, const std::vector<cplx>& v);
 
   // Scale row r (resp. column c) by a complex factor in place.
@@ -74,9 +69,9 @@ class CMat {
   // state). The in-place rebuild entry point of the feedback codec.
   void set_eye(std::size_t rows, std::size_t cols);
 
-  // In-place plane rotations with the real Givens block of Eq. (5):
-  // G(a,a) = cos psi, G(a,b) = sin psi, G(b,a) = -sin psi, G(b,b) = cos psi.
-  // Each touches exactly two rows (resp. columns) — O(cols) instead of the
+  // In-place plane rotation from the left with the real Givens block of
+  // Eq. (5): G(a,a) = cos psi, G(a,b) = sin psi, G(b,a) = -sin psi,
+  // G(b,b) = cos psi. It touches exactly two rows — O(cols) instead of the
   // O(rows^2 * cols) of materializing G and multiplying. Pass -psi to
   // apply G^T.
   //
@@ -85,25 +80,15 @@ class CMat {
   // apply_givens_left with c = cos psi, s = sin psi already computed (the
   // table-driven feedback rebuild looks them up per angle code).
   void rotate_rows(std::size_t a, std::size_t b, double c, double s);
-  // A <- A * G: col_a' = c*col_a - s*col_b, col_b' = s*col_a + c*col_b.
-  void apply_givens_right(std::size_t a, std::size_t b, double psi);
 
-  // The feedback codec applies factors from the left (rows), so the
-  // right/column variants have no production caller yet; they are kept
-  // as the symmetric half of the rotation toolkit (covered by
-  // tests/angles_roundtrip_test.cc) for codecs that accumulate on the
-  // other side.
-  //
-  // Phase scalings of the D-matrix family (Eq. (4)) without forming D:
-  // row/column (first + t) is multiplied by e^{j * phases[t]}. Conjugate
+  // Phase scaling of the D-matrix family (Eq. (4)) without forming D:
+  // row (first + t) is multiplied by e^{j * phases[t]}. Conjugate
   // (D^dagger) application is a negated-phase span at the call site.
   void scale_rows_polar(std::size_t first, std::span<const double> phases);
   // Row r multiplied by a precomputed unit phasor e^{j phase}.
   void scale_row_phasor(std::size_t r, cplx phasor);
-  void scale_cols_polar(std::size_t first, std::span<const double> phases);
 
   double frobenius_norm() const;
-  double max_abs() const;
 
   bool same_shape(const CMat& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;

@@ -35,14 +35,6 @@ void TcpIngestServer::start() {
   thread_ = std::thread([this] { loop_.run(); });
 }
 
-void TcpIngestServer::wait_until_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [&] {
-    return stopping_ ||
-           (stats_.conns_accepted > 0 && stats_.conns_open == 0);
-  });
-}
-
 bool TcpIngestServer::wait_until_idle_for(std::chrono::milliseconds interval) {
   std::unique_lock<std::mutex> lock(mu_);
   return idle_cv_.wait_for(lock, interval, [&] {

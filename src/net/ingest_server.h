@@ -78,14 +78,12 @@ class TcpIngestServer {
   // The bound port (valid after start(); resolves an ephemeral request).
   std::uint16_t port() const { return port_; }
 
-  // Blocks until at least one connection has been accepted and every
-  // connection has closed again — the `serve --once` termination rule —
-  // or until stop() is called from elsewhere.
-  void wait_until_idle();
-
-  // As wait_until_idle(), but returns after `interval` so the caller can
-  // interleave other work (signal checks, periodic snapshots) with the
-  // once-mode wait. Returns true when the idle condition held.
+  // The `serve --once` termination rule: returns true once at least one
+  // connection has been accepted and every connection has closed again,
+  // or once stop() has been called from elsewhere. Waits at most
+  // `interval` and returns false if neither held by then, so the caller
+  // can interleave other work (signal checks, periodic snapshots) with
+  // the wait.
   bool wait_until_idle_for(std::chrono::milliseconds interval);
 
   // Stops the loop, closes all sockets, joins. Idempotent.

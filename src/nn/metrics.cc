@@ -13,12 +13,6 @@ void ConfusionMatrix::add(int actual, int predicted) {
             static_cast<std::size_t>(predicted)];
 }
 
-void ConfusionMatrix::merge(const ConfusionMatrix& other) {
-  DEEPCSI_CHECK(other.num_classes_ == num_classes_);
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    counts_[i] += other.counts_[i];
-}
-
 long ConfusionMatrix::count(int actual, int predicted) const {
   DEEPCSI_CHECK(actual >= 0 && actual < num_classes_);
   DEEPCSI_CHECK(predicted >= 0 && predicted < num_classes_);

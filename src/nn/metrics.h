@@ -19,7 +19,6 @@ class ConfusionMatrix {
   }
 
   void add(int actual, int predicted);
-  void merge(const ConfusionMatrix& other);
 
   int num_classes() const { return num_classes_; }
   long count(int actual, int predicted) const;

@@ -36,12 +36,4 @@ void Adam::step() {
   }
 }
 
-void Sgd::step() {
-  for (Param* p : params_) {
-    float* __restrict w = p->value.data();
-    const float* __restrict g = p->grad.data();
-    for (std::size_t j = 0; j < p->value.numel(); ++j) w[j] -= lr_ * g[j];
-  }
-}
-
 }  // namespace deepcsi::nn

@@ -1,4 +1,4 @@
-// Optimizers. Adam is the workhorse for the DeepCSI classifier.
+// The optimizer: Adam, as the paper trains the DeepCSI classifier.
 #pragma once
 
 #include <vector>
@@ -29,16 +29,6 @@ class Adam {
   Config cfg_;
   std::vector<Tensor> m_, v_;
   long t_ = 0;
-};
-
-class Sgd {
- public:
-  Sgd(std::vector<Param*> params, float lr) : params_(std::move(params)), lr_(lr) {}
-  void step();
-
- private:
-  std::vector<Param*> params_;
-  float lr_;
 };
 
 }  // namespace deepcsi::nn

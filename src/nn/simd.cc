@@ -136,35 +136,12 @@ void givens_left_scalar(double* ra, double* rb, std::size_t cols, double c,
   }
 }
 
-void givens_right_scalar(double* data, std::size_t rows, std::size_t cols,
-                         std::size_t a, std::size_t b, double c, double s) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* row = data + r * 2 * cols;
-    const double va_re = row[2 * a], va_im = row[2 * a + 1];
-    const double vb_re = row[2 * b], vb_im = row[2 * b + 1];
-    row[2 * a] = c * va_re - s * vb_re;
-    row[2 * a + 1] = c * va_im - s * vb_im;
-    row[2 * b] = s * va_re + c * vb_re;
-    row[2 * b + 1] = s * va_im + c * vb_im;
-  }
-}
-
 void scale_row_polar_scalar(double* row, std::size_t cols, double fre,
                             double fim) {
   for (std::size_t j = 0; j < cols; ++j) {
     const double re = row[2 * j], im = row[2 * j + 1];
     row[2 * j] = re * fre - im * fim;
     row[2 * j + 1] = re * fim + im * fre;
-  }
-}
-
-void scale_col_polar_scalar(double* data, std::size_t rows, std::size_t cols,
-                            std::size_t col, double fre, double fim) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* e = data + r * 2 * cols + 2 * col;
-    const double re = e[0], im = e[1];
-    e[0] = re * fre - im * fim;
-    e[1] = re * fim + im * fre;
   }
 }
 
@@ -231,9 +208,7 @@ constexpr SimdOps kScalarOps = {
     selu_grad_scalar,
     max_pool_1x2_scalar,
     givens_left_scalar,
-    givens_right_scalar,
     scale_row_polar_scalar,
-    scale_col_polar_scalar,
     int8ref::quantize_u8,
     int8ref::dot_s8u8,
     int8ref::gemm_s8u8,

@@ -106,24 +106,17 @@ struct SimdOps {
   // keep the generic loop.
   void (*max_pool_1x2)(const float* x, float* out, std::size_t ow);
 
-  // Complex-double rotation kernels for the feedback codec. Rows are
+  // Complex-double row kernels for the feedback codec's V-matrix
+  // reconstruction (reconstruct_v_into / reconstruct_v_codes). Rows are
   // interleaved re/im storage (std::complex<double> layout), `cols`
   // complex elements long.
   //
   // Plane rotation from the left: ra' = c*ra + s*rb, rb' = -s*ra + c*rb.
   void (*givens_left)(double* ra, double* rb, std::size_t cols, double c,
                       double s);
-  // Plane rotation from the right on a rows x cols matrix at `data`
-  // (row-major complex): col_a' = c*col_a - s*col_b,
-  // col_b' = s*col_a + c*col_b.
-  void (*givens_right)(double* data, std::size_t rows, std::size_t cols,
-                       std::size_t a, std::size_t b, double c, double s);
   // row[j] *= (fre + i*fim) for j in [0, cols).
   void (*scale_row_polar)(double* row, std::size_t cols, double fre,
                           double fim);
-  // data(r, col) *= (fre + i*fim) for r in [0, rows).
-  void (*scale_col_polar)(double* data, std::size_t rows, std::size_t cols,
-                          std::size_t col, double fre, double fim);
 
   // ------------------------------------------------ INT8 inference kernels
   //

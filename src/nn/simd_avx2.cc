@@ -351,8 +351,8 @@ void max_pool_1x2_avx2(const float* x, float* out, std::size_t ow) {
 // ------------------------------------------- complex rotation kernels
 //
 // Interleaved re/im complex-double rows; one __m256d = 2 complex values.
-// The rotation coefficients are real, so the Givens kernels are plain
-// componentwise double FMA; the polar scalings use fmaddsub for the
+// The rotation coefficients are real, so the Givens kernel is plain
+// componentwise double FMA; the polar scaling uses fmaddsub for the
 // complex multiply.
 
 void givens_left_avx2(double* ra, double* rb, std::size_t cols, double c,
@@ -370,36 +370,6 @@ void givens_left_avx2(double* ra, double* rb, std::size_t cols, double c,
     const double va = ra[i], vb = rb[i];
     ra[i] = std::fma(s, vb, c * va);
     rb[i] = std::fma(-s, va, c * vb);
-  }
-}
-
-void givens_right_avx2(double* data, std::size_t rows, std::size_t cols,
-                       std::size_t a, std::size_t b, double c, double s) {
-  const __m256d vc = _mm256_set1_pd(c), vs = _mm256_set1_pd(s);
-  const std::size_t stride = 2 * cols;
-  std::size_t r = 0;
-  for (; r + 2 <= rows; r += 2) {
-    double* r0 = data + r * stride;
-    double* r1 = r0 + stride;
-    const __m256d va =
-        _mm256_set_m128d(_mm_loadu_pd(r1 + 2 * a), _mm_loadu_pd(r0 + 2 * a));
-    const __m256d vb =
-        _mm256_set_m128d(_mm_loadu_pd(r1 + 2 * b), _mm_loadu_pd(r0 + 2 * b));
-    const __m256d na = _mm256_fnmadd_pd(vs, vb, _mm256_mul_pd(vc, va));
-    const __m256d nb = _mm256_fmadd_pd(vs, va, _mm256_mul_pd(vc, vb));
-    _mm_storeu_pd(r0 + 2 * a, _mm256_castpd256_pd128(na));
-    _mm_storeu_pd(r1 + 2 * a, _mm256_extractf128_pd(na, 1));
-    _mm_storeu_pd(r0 + 2 * b, _mm256_castpd256_pd128(nb));
-    _mm_storeu_pd(r1 + 2 * b, _mm256_extractf128_pd(nb, 1));
-  }
-  if (r < rows) {
-    double* r0 = data + r * stride;
-    const __m128d hc = _mm256_castpd256_pd128(vc);
-    const __m128d hs = _mm256_castpd256_pd128(vs);
-    const __m128d va = _mm_loadu_pd(r0 + 2 * a);
-    const __m128d vb = _mm_loadu_pd(r0 + 2 * b);
-    _mm_storeu_pd(r0 + 2 * a, _mm_fnmadd_pd(hs, vb, _mm_mul_pd(hc, va)));
-    _mm_storeu_pd(r0 + 2 * b, _mm_fmadd_pd(hs, va, _mm_mul_pd(hc, vb)));
   }
 }
 
@@ -429,27 +399,6 @@ void scale_row_polar_avx2(double* row, std::size_t cols, double fre,
                               _mm256_castpd256_pd128(vim)));
 }
 
-void scale_col_polar_avx2(double* data, std::size_t rows, std::size_t cols,
-                          std::size_t col, double fre, double fim) {
-  const __m256d vre = _mm256_set1_pd(fre), vim = _mm256_set1_pd(fim);
-  const std::size_t stride = 2 * cols;
-  std::size_t r = 0;
-  for (; r + 2 <= rows; r += 2) {
-    double* p0 = data + r * stride + 2 * col;
-    double* p1 = p0 + stride;
-    const __m256d v = _mm256_set_m128d(_mm_loadu_pd(p1), _mm_loadu_pd(p0));
-    const __m256d out = cmul_polar4(v, vre, vim);
-    _mm_storeu_pd(p0, _mm256_castpd256_pd128(out));
-    _mm_storeu_pd(p1, _mm256_extractf128_pd(out, 1));
-  }
-  if (r < rows) {
-    double* p0 = data + r * stride + 2 * col;
-    _mm_storeu_pd(p0, cmul_polar2(_mm_loadu_pd(p0),
-                                  _mm256_castpd256_pd128(vre),
-                                  _mm256_castpd256_pd128(vim)));
-  }
-}
-
 constexpr SimdOps kAvx2Ops = {
     Backend::kAvx2,
     gemm_tile_avx2,
@@ -458,9 +407,7 @@ constexpr SimdOps kAvx2Ops = {
     selu_grad_avx2,
     max_pool_1x2_avx2,
     givens_left_avx2,
-    givens_right_avx2,
     scale_row_polar_avx2,
-    scale_col_polar_avx2,
     // The fp32 backend never runs quantized layers; its int8 slots carry
     // the scalar reference kernels so every pointer stays valid. The
     // live AVX2 int8 kernels sit on the kAvx2Int8 table

@@ -69,10 +69,6 @@ std::vector<PathSpec> build_paths(const Environment& env,
 
 ChannelModel::ChannelModel(const Scene& scene) : scene_(scene) {}
 
-std::size_t ChannelModel::num_paths(std::size_t num_extra) const {
-  return 7 + scene_.environment().clutter.size() + num_extra;
-}
-
 Cfr ChannelModel::cfr(const Point& tx, const Point& rx, int n_tx, int n_rx,
                       const std::vector<int>& subcarriers,
                       const std::vector<Scatterer>& extra,

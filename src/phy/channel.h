@@ -50,9 +50,6 @@ class ChannelModel {
           const std::vector<Scatterer>& extra, const FadingParams& fading,
           std::mt19937_64& rng) const;
 
-  // Number of propagation paths the model traces for a given extra set.
-  std::size_t num_paths(std::size_t num_extra) const;
-
  private:
   const Scene& scene_;
 };

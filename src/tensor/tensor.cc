@@ -29,18 +29,6 @@ Tensor Tensor::reshaped(std::vector<std::size_t> new_shape) const {
   return t;
 }
 
-void Tensor::add_(const Tensor& other, float scale) {
-  DEEPCSI_CHECK(same_shape(other));
-  const float* __restrict o = other.data();
-  float* __restrict d = data();
-  const std::size_t n = data_.size();
-  for (std::size_t i = 0; i < n; ++i) d[i] += scale * o[i];
-}
-
-void Tensor::scale_(float s) {
-  for (auto& v : data_) v *= s;
-}
-
 double Tensor::sum() const {
   double s = 0.0;
   for (float v : data_) s += v;

@@ -61,10 +61,6 @@ class Tensor {
 
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
 
-  // In-place elementwise helpers used by the optimizer and tests.
-  void add_(const Tensor& other, float scale = 1.0f);
-  void scale_(float s);
-
   double sum() const;
   float max_abs() const;
 

@@ -145,25 +145,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 4), ::testing::Values(1, 2),
                        ::testing::Bool()));
 
-TEST(ReportRoundTripTest, ReconstructedVtildeSurvivesTheWire) {
-  // compress -> pack -> unpack -> reconstruct equals
-  // compress -> reconstruct (the wire adds nothing beyond quantization).
-  std::mt19937_64 rng(23);
-  std::vector<int> subcarriers{-5, -1 - 1, 3, 9};
-  std::vector<linalg::CMat> v;
-  for (std::size_t i = 0; i < subcarriers.size(); ++i)
-    v.push_back(
-        linalg::svd(linalg::CMat::random_gaussian(3, 3, rng)).v.first_columns(2));
-  const QuantConfig cfg = mu_mimo_codebook_high();
-  const auto report = compress_v_series(v, subcarriers, cfg);
-  const auto direct = reconstruct_v_series(report);
-  const auto wire = reconstruct_v_series(
-      unpack_report(pack_report(report), 3, 2, subcarriers, cfg));
-  ASSERT_EQ(direct.size(), wire.size());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_LT(linalg::max_abs_diff(direct[i], wire[i]), 1e-12);
-}
-
 TEST(ReportTest, UnpackRejectsTruncatedPayload) {
   std::vector<std::uint8_t> tiny(3, 0);
   EXPECT_THROW(unpack_report(tiny, 3, 2, {1, 2, 3, 4}, mu_mimo_codebook_high()),

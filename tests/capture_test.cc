@@ -15,22 +15,14 @@
 namespace deepcsi::capture {
 namespace {
 
-TEST(MacAddressTest, ParseFormatRoundTrip) {
-  const MacAddress mac = MacAddress::parse("04:f0:21:de:ef:07");
+TEST(MacAddressTest, FormatsLowercaseColonHex) {
+  const MacAddress mac{{0x04, 0xf0, 0x21, 0xde, 0xef, 0x07}};
   EXPECT_EQ(mac.to_string(), "04:f0:21:de:ef:07");
-  EXPECT_EQ(mac.octets[0], 0x04);
-  EXPECT_EQ(mac.octets[5], 0x07);
-}
-
-TEST(MacAddressTest, ParseRejectsGarbage) {
-  EXPECT_THROW(MacAddress::parse("nonsense"), std::invalid_argument);
-  EXPECT_THROW(MacAddress::parse("00:11:22:33:44"), std::invalid_argument);
 }
 
 TEST(MacAddressTest, TestbedAddressing) {
   EXPECT_NE(MacAddress::for_module(0), MacAddress::for_module(1));
   EXPECT_NE(MacAddress::for_station(0), MacAddress::for_module(0));
-  EXPECT_EQ(MacAddress::broadcast().octets[0], 0xFF);
 }
 
 TEST(Crc32Test, KnownVector) {

@@ -608,10 +608,6 @@ TEST(ConfusionMatrixTest, AccuracyAndRates) {
   EXPECT_NEAR(cm.rate(0, 0), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(cm.rate(2, 0), 1.0, 1e-12);
   EXPECT_EQ(cm.count(1, 1), 1);
-  ConfusionMatrix other(3);
-  other.add(2, 2);
-  cm.merge(other);
-  EXPECT_EQ(cm.total(), 6);
   EXPECT_THROW(cm.add(3, 0), std::logic_error);
 }
 

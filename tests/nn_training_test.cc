@@ -199,17 +199,6 @@ TEST(AdamTest, ConvergesOnQuadratic) {
   EXPECT_NEAR(p.value[0], 3.0f, 1e-2f);
 }
 
-TEST(SgdTest, StepsAgainstGradient) {
-  Param p(Tensor({2}));
-  p.value[0] = 1.0f;
-  p.grad[0] = 2.0f;
-  p.grad[1] = -4.0f;
-  Sgd sgd({&p}, 0.25f);
-  sgd.step();
-  EXPECT_FLOAT_EQ(p.value[0], 0.5f);
-  EXPECT_FLOAT_EQ(p.value[1], 1.0f);
-}
-
 TEST(SerializeTest, SaveLoadRoundTrip) {
   Sequential m1 = make_mlp(41);
   const LabeledSet train = make_blobs(30, 43);

@@ -37,22 +37,6 @@ TEST(TensorTest, ReshapePreservesDataAndChecksCount) {
   EXPECT_THROW(t.reshaped({5, 2}), std::logic_error);
 }
 
-TEST(TensorTest, AddScaledAndScale) {
-  Tensor a({3}), b({3});
-  for (std::size_t i = 0; i < 3; ++i) {
-    a[i] = 1.0f;
-    b[i] = static_cast<float>(i);
-  }
-  a.add_(b, 2.0f);
-  EXPECT_EQ(a[0], 1.0f);
-  EXPECT_EQ(a[1], 3.0f);
-  EXPECT_EQ(a[2], 5.0f);
-  a.scale_(0.5f);
-  EXPECT_EQ(a[2], 2.5f);
-  Tensor c({4});
-  EXPECT_THROW(a.add_(c), std::logic_error);
-}
-
 TEST(TensorTest, MaxAbs) {
   Tensor t({3});
   t[0] = -5.0f;
