@@ -12,6 +12,13 @@
 
 namespace deepcsi::net {
 
+namespace {
+
+// Poll timeout while a connection is parked: the resubmit cadence.
+constexpr int kRetryIntervalMs = 1;
+
+}  // namespace
+
 TcpIngestServer::TcpIngestServer(IngestConfig cfg, SubmitFn submit)
     : cfg_(std::move(cfg)), submit_(std::move(submit)) {
   DEEPCSI_CHECK(submit_ != nullptr);
@@ -29,7 +36,7 @@ void TcpIngestServer::start() {
   // While any connection is parked on a full queue, poll with a short
   // timeout so the retry tick fires even with no socket activity.
   loop_.set_timeout_provider([this]() -> int {
-    return paused_conns_ > 0 ? cfg_.retry_interval_ms : -1;
+    return paused_conns_ > 0 ? kRetryIntervalMs : -1;
   });
   started_ = true;
   thread_ = std::thread([this] { loop_.run(); });

@@ -51,7 +51,6 @@ struct IngestConfig {
   std::uint16_t port = 0;  // 0 = ephemeral; read back with port()
   std::string bind_addr = "127.0.0.1";
   std::size_t max_conns = 64;     // excess connections are closed on accept
-  int retry_interval_ms = 1;      // paused-connection resubmit cadence
   // Load-shedding hook, polled on every accept. Returning false refuses
   // the new connection (closed immediately, counted as conns_shed) while
   // established streams keep flowing — the degradation ladder sacrifices

@@ -1,5 +1,8 @@
 #include "serving/options.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace deepcsi::serving {
@@ -35,6 +38,9 @@ bool parse_double(const std::map<std::string, std::string>& flags,
     const double value = std::stod(it->second, &consumed);
     if (consumed != it->second.size())
       throw std::invalid_argument("trailing characters");
+    // stod takes "nan" and "inf"; NaN slips past every range check below
+    // (all its comparisons are false).
+    if (!std::isfinite(value)) throw std::invalid_argument("not finite");
     *out = value;
     return true;
   } catch (const std::exception&) {
@@ -126,10 +132,14 @@ std::optional<ServeOptions> ServeOptions::parse(
     return std::nullopt;
   if (ttl_s < 0.0 || max_stations < 0 || max_session_mb < 0.0)
     return fail("--ttl/--max-stations/--max-session-mb must be >= 0");
+  const double max_session_bytes = max_session_mb * 1024.0 * 1024.0;
+  // Converting a double at or past 2^64 to size_t is undefined.
+  if (max_session_bytes >=
+      static_cast<double>(std::numeric_limits<std::size_t>::max()))
+    return fail("--max-session-mb is too large");
   o.service.sessions.ttl_s = ttl_s;
   o.service.sessions.max_stations = static_cast<std::size_t>(max_stations);
-  o.service.sessions.max_bytes =
-      static_cast<std::size_t>(max_session_mb * 1024.0 * 1024.0);
+  o.service.sessions.max_bytes = static_cast<std::size_t>(max_session_bytes);
 
   // ------------------------------------------------ drift detection
   double drift_alpha = o.service.sessions.drift_alpha;
@@ -215,8 +225,9 @@ std::optional<ServeOptions> ServeOptions::parse(
   o.state_file = get(flags, "state-file");
   // Shedding watermarks with hysteresis, defaulted from the queue budget
   // so a depth hovering at the threshold does not flap the accept gate.
-  o.shed_high = (queue * 9) / 10;
-  o.shed_low = (queue * 7) / 10;
+  // Widened: queue * 9 overflows int for budgets above ~238M.
+  o.shed_high = static_cast<int>(std::int64_t{queue} * 9 / 10);
+  o.shed_low = static_cast<int>(std::int64_t{queue} * 7 / 10);
   if (!parse_int(flags, "shed-high", &o.shed_high, &err) ||
       !parse_int(flags, "shed-low", &o.shed_low, &err))
     return std::nullopt;

@@ -2,24 +2,27 @@
 // pipeline into a long-running multi-station observer (the deployment of
 // Fig. 1 — a passive monitor fingerprinting every beamformee it can hear).
 //
-//   producers ──> shard by station MAC ──> lane queues ──> consumers
-//   (capture /      (mix64(MAC) %           (bounded,        (one thread +
-//    replay          consumers; one          backpressure     InferenceContext
-//    threads)        station = one lane)     policy each)     per lane)
+//   producers ──> shard by station MAC ──> lanes (one per consumer), each:
+//   (capture /      (mix64(MAC) %           bounded queue ─> thread that
+//    replay          consumers; one          (backpressure    batches, then
+//    threads)        station = one lane)     policy)          classifies
 //                                                                │
 //                              SessionTable (per-station  <──────┘
-//                              rolling majority verdict)
+//                              rolling majority verdict) ──> verdict cb,
+//                                                            shadow cb
 //
 // Any number of producer threads call submit(); each report is routed to
-// the lane owning its station, and every lane classifies its batches
-// through the shared Authenticator's context pool — concurrent const
-// forward passes over one immutable SharedModel, no serialization between
-// lanes. Because a station's reports always flow through exactly one lane
-// in FIFO order, the per-station prediction sequence — and therefore every
-// verdict, vote count and mean confidence — is identical for ANY consumer
-// count, any DEEPCSI_THREADS and any batch timing (per-report predictions
-// do not depend on batch composition). With a single producer this makes
-// end-to-end verdicts fully reproducible.
+// the lane owning its station. A lane's thread flushes a batch when it
+// holds max_batch reports, when its oldest report has waited max_latency,
+// or when the queue closes, whichever comes first; it classifies the
+// batch through the shared Authenticator's context pool — concurrent
+// const forward passes over one immutable SharedModel, no serialization
+// between lanes. Because a station's reports always flow through exactly
+// one lane in FIFO order, the per-station prediction sequence — and
+// therefore every verdict, vote count and mean confidence — is identical
+// for ANY consumer count, any DEEPCSI_THREADS and any batch timing
+// (per-report predictions do not depend on batch composition). With a
+// single producer this makes end-to-end verdicts fully reproducible.
 #pragma once
 
 #include <chrono>
@@ -28,16 +31,23 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "capture/monitor.h"
 #include "common/report_queue.h"
 #include "core/pipeline.h"
-#include "serving/scheduler.h"
 #include "serving/session_table.h"
 #include "serving/stats.h"
 
 namespace deepcsi::serving {
+
+// Per-lane batching: flush at max_batch reports, or once the batch's
+// oldest report has waited max_latency (plus a final flush on drain).
+struct SchedulerConfig {
+  std::size_t max_batch = 64;
+  std::chrono::nanoseconds max_latency = std::chrono::milliseconds(2);
+};
 
 struct ServiceConfig {
   // Total queued-report budget, divided evenly across consumer lanes.
@@ -45,8 +55,8 @@ struct ServiceConfig {
   common::OverflowPolicy policy = common::OverflowPolicy::kBlock;
   SchedulerConfig scheduler;  // max_batch / max_latency (per lane)
   SessionConfig sessions;     // verdict window / shard count
-  // Consumer lanes. Each lane owns a queue, a scheduler thread and an
-  // InferenceContext lease; stations are sharded across lanes by MAC.
+  // Consumer lanes. Each lane owns a queue and a thread that leases an
+  // InferenceContext per batch; stations are sharded across lanes by MAC.
   std::size_t consumers = 1;
   // A lane with queued work that has not flushed a batch for this long
   // is flagged stalled in stats() / lane_stats() — the watchdog signal
@@ -127,7 +137,7 @@ class AuthService {
   // front ends (the socket owners copy those in; serving does not depend
   // on net).
   StatsSnapshot stats() const;
-  std::size_t num_lanes() const { return queues_.size(); }
+  std::size_t num_lanes() const { return lanes_.size(); }
   StatsSnapshot::Lane lane_stats(std::size_t lane) const;
   const SessionTable& sessions() const { return sessions_; }
 
@@ -146,30 +156,36 @@ class AuthService {
                                                std::string* error = nullptr);
 
  private:
-  void on_batch(std::vector<PendingReport>&& batch, FlushReason reason,
-                std::size_t lane);
+  // One consumer lane: its queue, the thread that drains it, and what
+  // that thread reports and reuses. ReportQueue is not movable, hence
+  // the unique_ptr in lanes_.
+  struct Lane {
+    Lane(std::size_t capacity, common::OverflowPolicy policy)
+        : queue(capacity, policy) {}
+    common::ReportQueue<PendingReport> queue;
+    std::thread thread;
+    mutable std::mutex mu;  // guards stats and last_progress
+    SchedulerStats stats;
+    // Thread start or last flush: queued work with no progress for
+    // watchdog_stall flags the lane stalled (wedged, not merely idle).
+    std::chrono::steady_clock::time_point last_progress{};
+    // Lane-thread scratch, reused across batches so a flush moves
+    // payloads and reuses prediction storage instead of allocating.
+    std::vector<feedback::AngleCodes> codes;
+    std::vector<core::Authenticator::Prediction> predictions;
+  };
+
+  void run_lane(Lane& lane);
   std::size_t lane_for(const capture::MacAddress& station) const;
 
   const core::Authenticator& auth_;
   ServiceConfig cfg_;
   VerdictCallback verdict_cb_;  // set before start(), read by lane threads
   ShadowCallback shadow_cb_;    // ditto
-  // One bounded queue per lane (ReportQueue is not movable, hence the
-  // unique_ptr indirection).
-  std::vector<std::unique_ptr<common::ReportQueue<PendingReport>>> queues_;
   SessionTable sessions_;
-  BatchingScheduler<PendingReport> scheduler_;
-
-  // Lane-thread scratch, reused across batches so a flush moves payloads
-  // and reuses prediction storage instead of allocating.
-  struct LaneScratch {
-    std::vector<feedback::AngleCodes> reports;
-    std::vector<core::Authenticator::Prediction> predictions;
-  };
-  std::vector<LaneScratch> lane_scratch_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
 
   mutable std::mutex stats_mu_;
-  std::size_t reports_classified_ = 0;
   // Latency percentiles are computed over the most recent batches only —
   // a fixed-size ring, so a long-running service never grows this and a
   // stats() call stays O(ring size), not O(lifetime batches).

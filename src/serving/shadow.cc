@@ -5,11 +5,17 @@
 
 namespace deepcsi::serving {
 
+namespace {
+
+// Scorer backlog; past it the oldest sampled report is dropped.
+constexpr std::size_t kQueueCapacity = 256;
+
+}  // namespace
+
 ShadowScorer::ShadowScorer(core::Authenticator candidate, ShadowConfig cfg)
     : candidate_(std::move(candidate)),
       cfg_(cfg),
-      queue_(cfg.queue_capacity == 0 ? 1 : cfg.queue_capacity,
-             common::OverflowPolicy::kDropOldest) {
+      queue_(kQueueCapacity, common::OverflowPolicy::kDropOldest) {
   if (cfg_.sample_every == 0) cfg_.sample_every = 1;
   thread_ = std::thread([this] { run(); });
 }

@@ -41,7 +41,6 @@ namespace deepcsi::serving {
 
 struct ShadowConfig {
   std::size_t sample_every = 8;  // mirror 1 report in N (1 = every report)
-  std::size_t queue_capacity = 256;  // scorer backlog; overflow drops oldest
   // promotable() gates: at least min_samples scored AND
   // diverged/sampled < max_divergence. max_divergence < 0 disables
   // auto-promotion (promotable() always false).

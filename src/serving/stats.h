@@ -1,5 +1,5 @@
 // The one observability surface of the serving stack: every counter the
-// service, its queues, its scheduler lanes, the session table and the
+// service, its queues, its consumer lanes, the session table and the
 // optional network front ends expose is collected into a single versioned
 // StatsSnapshot, with one renderer for the human-facing `serve` end-of-run
 // block and one for machine-readable JSON.
@@ -25,10 +25,19 @@
 
 #include "common/report_queue.h"
 #include "net/stats.h"
-#include "serving/scheduler.h"
 #include "serving/session_table.h"
 
 namespace deepcsi::serving {
+
+// One consumer lane's batch counters (or their sum over lanes).
+struct SchedulerStats {
+  std::size_t batches = 0;
+  std::size_t items = 0;           // reports classified
+  std::size_t flush_full = 0;      // reached max_batch
+  std::size_t flush_deadline = 0;  // oldest report aged out
+  std::size_t flush_drain = 0;     // queue closed and drained
+  std::size_t max_batch_seen = 0;
+};
 
 struct StatsSnapshot {
   static constexpr int kVersion = 1;
@@ -38,7 +47,7 @@ struct StatsSnapshot {
   SchedulerStats scheduler;  // aggregated over lanes
   std::size_t consumers = 1;
   std::size_t lanes_stalled = 0;  // watchdog: queued work, no progress
-  std::size_t reports_classified = 0;
+  std::size_t reports_classified = 0;  // == scheduler.items
   double wall_seconds = 0.0;       // start() .. drain() (or "so far")
   double throughput_rps = 0.0;     // reports_classified / wall_seconds
   // Batch latency = enqueue of the batch's oldest report -> verdicts

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "serving/options.h"
 
@@ -263,6 +264,123 @@ TEST(ServeOptionsTest, StatsJsonPathPassesThrough) {
             ServeOptions::Front::kServe, &err);
   ASSERT_TRUE(o.has_value()) << err;
   EXPECT_EQ(o->stats_json, "/tmp/s.json");
+}
+
+TEST(ServeOptionsTest, NonFiniteNumbersAreRejected) {
+  // stod accepts "nan"/"inf"; NaN then compares false against every
+  // range check, so each double flag must refuse them at parse time.
+  const std::vector<std::string> keys = {"ttl", "max-session-mb",
+                                         "drift-alpha", "drift-threshold",
+                                         "promote-below", "rate"};
+  const std::vector<std::string> values = {"nan", "inf", "-inf", "NAN"};
+  std::string err;
+  for (const std::string& key : keys) {
+    for (const std::string& value : values) {
+      SCOPED_TRACE(::testing::Message() << "--" << key << " " << value);
+      err.clear();
+      EXPECT_FALSE(parse({{"model", "m"},
+                          {"pcap", "c"},
+                          {"shadow-model", "s"},
+                          {key, value}},
+                         ServeOptions::Front::kServe, &err));
+      EXPECT_NE(err.find("invalid number for --" + key), std::string::npos)
+          << err;
+    }
+  }
+  // Finite but past what a size_t byte count holds.
+  EXPECT_FALSE(
+      parse({{"model", "m"}, {"pcap", "c"}, {"max-session-mb", "1e300"}},
+            ServeOptions::Front::kServe, &err));
+  EXPECT_NE(err.find("--max-session-mb"), std::string::npos);
+}
+
+TEST(ServeOptionsTest, ShedDefaultsHoldForTheLargestQueueBudget) {
+  std::string err;
+  const auto o = parse(
+      {{"model", "m"}, {"listen", "9000"}, {"queue", "300000000"}},
+      ServeOptions::Front::kServe, &err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->shed_high, 270000000);
+  EXPECT_EQ(o->shed_low, 210000000);
+  const auto max = parse(
+      {{"model", "m"}, {"listen", "9000"}, {"queue", "2147483647"}},
+      ServeOptions::Front::kServe, &err);
+  ASSERT_TRUE(max.has_value()) << err;
+  EXPECT_EQ(max->shed_high, 1932735282);
+  EXPECT_EQ(max->shed_low, 1503238552);
+}
+
+TEST(ServeOptionsTest, WatchdogMsLandsInServiceConfig) {
+  std::string err;
+  const auto d = parse({{"model", "m"}, {"pcap", "c"}},
+                       ServeOptions::Front::kServe, &err);
+  ASSERT_TRUE(d.has_value()) << err;
+  EXPECT_EQ(d->service.watchdog_stall, std::chrono::milliseconds(2000));
+  const auto o = parse({{"model", "m"}, {"pcap", "c"}, {"watchdog-ms", "50"}},
+                       ServeOptions::Front::kServe, &err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->service.watchdog_stall, std::chrono::milliseconds(50));
+
+  EXPECT_FALSE(parse({{"model", "m"}, {"pcap", "c"}, {"watchdog-ms", "0"}},
+                     ServeOptions::Front::kServe, &err));
+  EXPECT_NE(err.find("--watchdog-ms must be >= 1"), std::string::npos);
+  EXPECT_FALSE(parse({{"model", "m"}, {"pcap", "c"}, {"watchdog-ms", "5s"}},
+                     ServeOptions::Front::kServe, &err));
+  EXPECT_NE(err.find("invalid integer for --watchdog-ms"), std::string::npos);
+}
+
+TEST(ServeOptionsTest, ReplayDriverKnobsAreParsedAndRangeChecked) {
+  std::string err;
+  const auto o = parse({{"model", "m"},
+                        {"pcap", "c"},
+                        {"loop", "8"},
+                        {"producers", "2"},
+                        {"rate", "1000.5"}},
+                       ServeOptions::Front::kServe, &err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->loops, 8);
+  EXPECT_EQ(o->producers, 2);
+  EXPECT_EQ(o->rate_rps, 1000.5);
+
+  const Flags out_of_range = {
+      {"loop", "0"}, {"producers", "0"}, {"rate", "-1"}};
+  for (const auto& [key, value] : out_of_range) {
+    SCOPED_TRACE(key);
+    EXPECT_FALSE(parse({{"model", "m"}, {"pcap", "c"}, {key, value}},
+                       ServeOptions::Front::kServe, &err));
+    EXPECT_NE(err.find("--loop/--producers/--rate out of range"),
+              std::string::npos);
+  }
+  EXPECT_FALSE(parse({{"model", "m"}, {"pcap", "c"}, {"producers", "two"}},
+                     ServeOptions::Front::kServe, &err));
+  EXPECT_NE(err.find("invalid integer for --producers"), std::string::npos);
+}
+
+TEST(ServeOptionsTest, ListenConnectionKnobsAreParsed) {
+  std::string err;
+  const auto d = parse({{"model", "m"}, {"listen", "9000"}},
+                       ServeOptions::Front::kServe, &err);
+  ASSERT_TRUE(d.has_value()) << err;
+  EXPECT_EQ(d->max_conns, 64);
+  EXPECT_FALSE(d->once);
+
+  const auto o = parse(
+      {{"model", "m"}, {"listen", "9000"}, {"max-conns", "4"}, {"once", "1"}},
+      ServeOptions::Front::kServe, &err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->max_conns, 4);
+  EXPECT_TRUE(o->once);
+  const auto off = parse({{"model", "m"}, {"listen", "9000"}, {"once", "0"}},
+                         ServeOptions::Front::kServe, &err);
+  ASSERT_TRUE(off.has_value()) << err;
+  EXPECT_FALSE(off->once);
+
+  EXPECT_FALSE(parse({{"model", "m"}, {"listen", "9000"}, {"max-conns", "0"}},
+                     ServeOptions::Front::kServe, &err));
+  EXPECT_NE(err.find("--max-conns must be >= 1"), std::string::npos);
+  EXPECT_FALSE(parse({{"model", "m"}, {"listen", "9000"}, {"once", "yes"}},
+                     ServeOptions::Front::kServe, &err));
+  EXPECT_NE(err.find("invalid integer for --once"), std::string::npos);
 }
 
 }  // namespace

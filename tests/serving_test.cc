@@ -1,11 +1,13 @@
-// Streaming serving subsystem: queue backpressure semantics, batching
-// scheduler flush policies, per-station majority verdicts, and the
+// Streaming serving subsystem: queue backpressure semantics, the lanes'
+// batch flush rules and watchdog, per-station majority verdicts, and the
 // single-producer determinism contract (verdicts bit-identical for any
 // DEEPCSI_THREADS).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -19,7 +21,6 @@
 #include "dataset/traces.h"
 #include "phy/impairments.h"
 #include "serving/replay.h"
-#include "serving/scheduler.h"
 #include "serving/service.h"
 #include "serving/session_table.h"
 #include "test_util.h"
@@ -29,7 +30,6 @@ namespace {
 
 using common::OverflowPolicy;
 using common::ReportQueue;
-using serving::FlushReason;
 using tests::expect_identical;
 using tests::quick_authenticator;
 using tests::ThreadGuard;
@@ -115,128 +115,6 @@ TEST(ReportQueueTest, CloseDrainsPendingItemsThenReportsClosed) {
   EXPECT_EQ(v, 2);
   EXPECT_FALSE(q.pop(v));  // closed and drained
   EXPECT_EQ(q.stats().rejected, 1u);
-}
-
-// -------------------------------------------------------- BatchingScheduler
-
-struct RecordedFlush {
-  std::vector<int> items;
-  FlushReason reason;
-};
-
-class FlushRecorder {
- public:
-  serving::BatchingScheduler<int>::Sink sink() {
-    return [this](std::vector<int>&& batch, FlushReason reason,
-                  std::size_t /*lane*/) {
-      std::lock_guard<std::mutex> lock(mu_);
-      flushes_.push_back({std::move(batch), reason});
-    };
-  }
-  std::vector<RecordedFlush> flushes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return flushes_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<RecordedFlush> flushes_;
-};
-
-TEST(BatchingSchedulerTest, FlushesAtMaxBatchThenDrains) {
-  // All nine items are queued (and the queue closed) before the scheduler
-  // starts, so the batch boundaries are fully deterministic: 4, 4, 1.
-  ReportQueue<int> q(64, OverflowPolicy::kBlock);
-  for (int i = 0; i < 9; ++i) ASSERT_TRUE(q.push(i));
-  q.close();
-
-  FlushRecorder recorder;
-  serving::SchedulerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_latency = std::chrono::seconds(3600);  // deadline can never fire
-  serving::BatchingScheduler<int> sched(q, cfg, recorder.sink());
-  sched.start();
-  sched.join();
-
-  const auto flushes = recorder.flushes();
-  ASSERT_EQ(flushes.size(), 3u);
-  EXPECT_EQ(flushes[0].items, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(flushes[0].reason, FlushReason::kBatchFull);
-  EXPECT_EQ(flushes[1].items, (std::vector<int>{4, 5, 6, 7}));
-  EXPECT_EQ(flushes[1].reason, FlushReason::kBatchFull);
-  EXPECT_EQ(flushes[2].items, (std::vector<int>{8}));
-  EXPECT_EQ(flushes[2].reason, FlushReason::kDrain);
-
-  const serving::SchedulerStats stats = sched.stats();
-  EXPECT_EQ(stats.batches, 3u);
-  EXPECT_EQ(stats.items, 9u);
-  EXPECT_EQ(stats.flush_full, 2u);
-  EXPECT_EQ(stats.flush_drain, 1u);
-  EXPECT_EQ(stats.max_batch_seen, 4u);
-}
-
-TEST(BatchingSchedulerTest, FlushesAtDeadlineWhenBatchStaysPartial) {
-  // Three queued items against max_batch 64: only the latency deadline can
-  // flush them, and it must flush all three together.
-  ReportQueue<int> q(64, OverflowPolicy::kBlock);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(i));
-
-  FlushRecorder recorder;
-  serving::SchedulerConfig cfg;
-  cfg.max_batch = 64;
-  cfg.max_latency = std::chrono::milliseconds(25);
-  serving::BatchingScheduler<int> sched(q, cfg, recorder.sink());
-  sched.start();
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (sched.stats().batches == 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-
-  q.close();
-  sched.join();
-  const auto flushes = recorder.flushes();
-  ASSERT_EQ(flushes.size(), 1u);
-  EXPECT_EQ(flushes[0].items, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(flushes[0].reason, FlushReason::kDeadline);
-  EXPECT_EQ(sched.stats().flush_deadline, 1u);
-}
-
-TEST(BatchingSchedulerTest, MultiLaneDrainsEveryQueueWithPerLaneFifoOrder) {
-  // Two lanes, fully pre-loaded and closed: each lane must flush its own
-  // queue in FIFO order on its own consumer thread, and the aggregate
-  // stats must sum the lanes.
-  ReportQueue<int> q0(64, OverflowPolicy::kBlock);
-  ReportQueue<int> q1(64, OverflowPolicy::kBlock);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q0.push(i));
-  for (int i = 100; i < 103; ++i) ASSERT_TRUE(q1.push(i));
-  q0.close();
-  q1.close();
-
-  std::mutex mu;
-  std::vector<std::vector<int>> per_lane(2);
-  serving::SchedulerConfig cfg;
-  cfg.max_batch = 2;
-  cfg.max_latency = std::chrono::seconds(3600);
-  serving::BatchingScheduler<int> sched(
-      std::vector<ReportQueue<int>*>{&q0, &q1}, cfg,
-      [&](std::vector<int>&& batch, FlushReason, std::size_t lane) {
-        std::lock_guard<std::mutex> lock(mu);
-        for (int v : batch) per_lane[lane].push_back(v);
-      });
-  ASSERT_EQ(sched.num_lanes(), 2u);
-  sched.start();
-  sched.join();
-
-  EXPECT_EQ(per_lane[0], (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(per_lane[1], (std::vector<int>{100, 101, 102}));
-  const serving::SchedulerStats total = sched.stats();
-  EXPECT_EQ(total.items, 8u);
-  EXPECT_EQ(sched.lane_stats(0).items, 5u);
-  EXPECT_EQ(sched.lane_stats(1).items, 3u);
-  EXPECT_EQ(total.batches,
-            sched.lane_stats(0).batches + sched.lane_stats(1).batches);
 }
 
 // ------------------------------------------------------------ SessionTable
@@ -462,6 +340,153 @@ TEST(AuthServiceTest, RejectPolicyShedsLoadWithoutLosingAcceptedReports) {
   EXPECT_EQ(stats.reports_classified, accepted);
   EXPECT_EQ(stats.queue.rejected + accepted, stream.size());
   EXPECT_GE(accepted, 1u);  // at least the first submit fit the empty queue
+}
+
+TEST(AuthServiceTest, LaneFlushesFullBatchesThenDrainsTheRest) {
+  // Nine reports queued before start() on one lane: with a deadline that
+  // cannot fire, the lane flushes 4 and 4 at max_batch and the last one
+  // when drain() closes the queue.
+  dataset::InputSpec spec;
+  spec.subcarrier_stride = 4;
+  const core::Authenticator auth = quick_authenticator(spec);
+  const auto stream = make_two_station_stream();
+  ASSERT_GE(stream.size(), 9u);
+
+  serving::ServiceConfig cfg = small_service_config();
+  cfg.scheduler.max_batch = 4;
+  cfg.scheduler.max_latency = std::chrono::seconds(3600);
+  serving::AuthService service(auth, cfg);
+  for (std::size_t i = 0; i < 9; ++i) ASSERT_TRUE(service.submit(stream[i]));
+  service.start();
+  service.drain();
+
+  const serving::StatsSnapshot stats = service.stats();
+  EXPECT_EQ(stats.scheduler.batches, 3u);
+  EXPECT_EQ(stats.scheduler.items, 9u);
+  EXPECT_EQ(stats.scheduler.flush_full, 2u);
+  EXPECT_EQ(stats.scheduler.flush_deadline, 0u);
+  EXPECT_EQ(stats.scheduler.flush_drain, 1u);
+  EXPECT_EQ(stats.scheduler.max_batch_seen, 4u);
+  EXPECT_EQ(stats.reports_classified, 9u);
+}
+
+TEST(AuthServiceTest, LaneFlushesAPartialBatchAtTheDeadline) {
+  // Three queued reports against max_batch 64: only the 25 ms deadline
+  // can flush them, and it must flush all three together.
+  dataset::InputSpec spec;
+  spec.subcarrier_stride = 4;
+  const core::Authenticator auth = quick_authenticator(spec);
+  const auto stream = make_two_station_stream();
+
+  serving::ServiceConfig cfg = small_service_config();
+  cfg.scheduler.max_batch = 64;
+  cfg.scheduler.max_latency = std::chrono::milliseconds(25);
+  serving::AuthService service(auth, cfg);
+  for (std::size_t i = 0; i < 3; ++i) ASSERT_TRUE(service.submit(stream[i]));
+  service.start();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service.stats().scheduler.batches == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  service.drain();
+
+  const serving::StatsSnapshot stats = service.stats();
+  EXPECT_EQ(stats.scheduler.batches, 1u);
+  EXPECT_EQ(stats.scheduler.items, 3u);
+  EXPECT_EQ(stats.scheduler.flush_deadline, 1u);
+  EXPECT_EQ(stats.scheduler.max_batch_seen, 3u);
+}
+
+TEST(AuthServiceTest, LanesClassifyInFifoOrderAndTheirCountsAddUp) {
+  // Two lanes: every lane's items add up to the aggregate, which is the
+  // classified count, and each station's reports reach the shadow hook
+  // in submission order whichever lane owns it. Queued before start()
+  // against max_batch 8, each batch holds several reports per station.
+  dataset::InputSpec spec;
+  spec.subcarrier_stride = 4;
+  const core::Authenticator auth = quick_authenticator(spec);
+  const auto stream = tests::multi_station_stream(6, 6);
+
+  serving::ServiceConfig cfg = small_service_config();
+  cfg.consumers = 2;
+  cfg.scheduler.max_batch = 8;
+  cfg.scheduler.max_latency = std::chrono::seconds(3600);
+  serving::AuthService service(auth, cfg);
+  std::mutex mu;
+  std::map<std::uint64_t, std::vector<double>> seen;  // station -> stamps
+  service.set_shadow_callback([&](const serving::PendingReport& r,
+                                  const core::Authenticator::Prediction&) {
+    std::lock_guard<std::mutex> lock(mu);
+    seen[r.station.to_u64()].push_back(r.timestamp_s);
+  });
+  for (const auto& obs : stream) ASSERT_TRUE(service.submit(obs));
+  service.start();
+  service.drain();
+
+  const serving::StatsSnapshot stats = service.stats();
+  ASSERT_EQ(service.num_lanes(), 2u);
+  std::size_t lane_items = 0, lane_batches = 0;
+  for (std::size_t lane = 0; lane < service.num_lanes(); ++lane) {
+    lane_items += service.lane_stats(lane).scheduler.items;
+    lane_batches += service.lane_stats(lane).scheduler.batches;
+  }
+  EXPECT_EQ(lane_items, stats.scheduler.items);
+  EXPECT_EQ(lane_batches, stats.scheduler.batches);
+  EXPECT_EQ(stats.scheduler.items, stats.reports_classified);
+  EXPECT_EQ(stats.reports_classified, stream.size());
+
+  std::map<std::uint64_t, std::vector<double>> submitted;
+  for (const auto& obs : stream)
+    submitted[obs.beamformee.to_u64()].push_back(obs.timestamp_s);
+  EXPECT_EQ(seen, submitted);
+}
+
+TEST(AuthServiceTest, WatchdogFlagsALaneHeldInsideItsVerdictCallback) {
+  // The lane's first report fires a verdict callback that blocks on a
+  // latch. With more reports queued and no flush for longer than
+  // watchdog_stall, the lane must read stalled; once released and
+  // drained, it must read healthy again.
+  dataset::InputSpec spec;
+  spec.subcarrier_stride = 4;
+  const core::Authenticator auth = quick_authenticator(spec);
+  const auto stream = make_two_station_stream();
+
+  serving::ServiceConfig cfg = small_service_config();
+  cfg.scheduler.max_batch = 1;
+  cfg.watchdog_stall = std::chrono::milliseconds(50);
+  serving::AuthService service(auth, cfg);
+  std::atomic<bool> held{false};
+  std::latch release(1);
+  service.set_verdict_callback([&](const serving::StationVerdict&) {
+    held = true;
+    release.wait();
+  });
+  service.start();
+  // EXPECT, not ASSERT: an early return would leave the lane on the latch.
+  for (const auto& obs : stream) EXPECT_TRUE(service.submit(obs));
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!service.lane_stats(0).stalled &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(held.load());
+  const serving::StatsSnapshot::Lane lane = service.lane_stats(0);
+  EXPECT_TRUE(lane.stalled);
+  EXPECT_GT(lane.queue.depth, 0u);
+  EXPECT_GE(lane.since_progress_s, 0.05);
+  EXPECT_EQ(service.stats().lanes_stalled, 1u);
+
+  release.count_down();
+  service.drain();
+  const serving::StatsSnapshot::Lane after = service.lane_stats(0);
+  EXPECT_FALSE(after.stalled);
+  EXPECT_LT(after.since_progress_s, lane.since_progress_s);  // it flushed
+  const serving::StatsSnapshot stats = service.stats();
+  EXPECT_EQ(stats.lanes_stalled, 0u);
+  EXPECT_EQ(stats.reports_classified, stream.size());
 }
 
 }  // namespace
