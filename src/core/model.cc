@@ -48,12 +48,12 @@ nn::Sequential build_deepcsi_model(int in_channels, int width,
   int w = width;
   for (int i = 0; i < cfg.conv_layers; ++i) {
     model.emplace<nn::Conv2d>(static_cast<std::size_t>(ch),
-                              static_cast<std::size_t>(cfg.filters), 1,
+                              static_cast<std::size_t>(cfg.filters),
                               static_cast<std::size_t>(kernels[static_cast<std::size_t>(i)]),
                               rng);
     model.emplace<nn::Selu>();
     if (w >= 2) {
-      model.emplace<nn::MaxPool2d>(1, 2);
+      model.emplace<nn::MaxPool2d>();
       w /= 2;
     }
     ch = cfg.filters;

@@ -5,7 +5,7 @@
 namespace deepcsi::nn {
 
 SpatialAttention::SpatialAttention(std::mt19937_64& rng, std::size_t kernel_w)
-    : conv_(2, 1, 1, kernel_w, rng) {}
+    : conv_(2, 1, kernel_w, rng) {}
 
 void SpatialAttention::compute_maps(const float* x, std::size_t n_batch,
                                     std::size_t ch, std::size_t hh,

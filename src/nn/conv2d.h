@@ -1,7 +1,10 @@
-// 2-D convolution over NCHW tensors with 'same' zero padding and stride 1.
+// The DeepCSI convolution: a (1, kw) kernel along the sub-carrier axis
+// of NCHW inputs of height 1, 'same' zero padding along W, stride 1 —
+// the (1,7)/(1,5)/(1,3) convs of the classifier and its attention conv.
+// The weight keeps the 4-D [out, in, 1, kw] layout of the weight files.
 //
-// Forward is one weight-by-columns GEMM over each sample's [Cin*kh*kw,
-// H*W] im2col matrix, whose B tiles conv_f32_batched (nn/gemm.h) packs
+// Forward is one weight-by-columns GEMM over each sample's [Cin*kw, W]
+// im2col matrix, whose B tiles conv_f32_batched (nn/gemm.h) packs
 // straight from the input planes, so no column matrix is built. Backward
 // builds the transposed columns from the cached input (im2row): the
 // weight gradient reduces the batch in one blocked GEMM over them, the
@@ -9,9 +12,6 @@
 // col2im.
 // All stages run over the global thread pool with deterministic
 // partitioning — outputs are bit-identical for any DEEPCSI_THREADS.
-//
-// The DeepCSI classifier convolves only along the sub-carrier axis
-// (kernels (1,7)/(1,5)/(1,3)); the kernels here stay general (kh, kw).
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,10 @@ namespace deepcsi::nn {
 
 class Conv2d final : public Layer {
  public:
-  Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kh,
-         std::size_t kw, std::mt19937_64& rng);
+  // kw must be odd. forward and plan_inference refuse inputs whose
+  // height is not 1.
+  Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kw,
+         std::mt19937_64& rng);
 
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -52,13 +54,12 @@ class Conv2d final : public Layer {
   bool has_int8() const { return qw_.valid(); }
 
  private:
-  std::size_t in_channels_, out_channels_, kh_, kw_;
-  std::size_t pad_h_, pad_w_;
-  Param weight_;  // [out, in, kh, kw]
+  std::size_t in_channels_, out_channels_, kw_, pad_w_;
+  Param weight_;  // [out, in, 1, kw]
   Param bias_;    // [out]
-  // The im2col geometry of one sample of an hh x ww input.
-  ConvShape shape(std::size_t hh, std::size_t ww) const {
-    return {in_channels_, hh, ww, kh_, kw_, pad_h_, pad_w_};
+  // The im2col geometry of one sample of a 1 x ww input.
+  ConvShape shape(std::size_t ww) const {
+    return {in_channels_, ww, kw_, pad_w_};
   }
 
   QuantizedWeights qw_;  // empty until prepare_int8

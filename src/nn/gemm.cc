@@ -55,9 +55,9 @@ std::vector<float>& pack_scratch() {
   return buf;
 }
 
-// Valid output span [lo, hi) of a tap offset d along an axis of `size`
-// under 'same' padding: output index h reads input h + d, so
-// 0 <= h + d < size.
+// Valid output span [lo, hi) of a tap offset d along a row of `size`
+// under 'same' padding: output index w reads input w + d, so
+// 0 <= w + d < size.
 struct TapSpan {
   std::size_t lo, hi;
 };
@@ -72,47 +72,31 @@ inline TapSpan tap_span(std::ptrdiff_t d, std::size_t size) {
   return s;
 }
 
-// One im2col row: `plane` ([hh][ww]) shifted by the tap offset (dh, dw)
-// into dst[0, hh * ww), `pad` outside the image. Only the border is
-// filled with `pad` — for 'same' padding it is a few columns wide — and
-// each output row's in-image span is one contiguous copy.
-template <typename T>
-inline void tap_row(const T* __restrict plane, std::size_t hh, std::size_t ww,
-                    std::ptrdiff_t dh, std::ptrdiff_t dw, T pad,
-                    T* __restrict dst) {
-  const TapSpan hs = tap_span(dh, hh), ws = tap_span(dw, ww);
-  std::fill(dst, dst + hs.lo * ww, pad);
-  std::fill(dst + hs.hi * ww, dst + hh * ww, pad);
-  for (std::size_t h = hs.lo; h < hs.hi; ++h) {
-    // Index with the signed offsets — never form a pointer before the
-    // plane (h + dh >= 0 and w + dw >= 0 inside the spans).
-    const T* __restrict src =
-        plane + (static_cast<std::ptrdiff_t>(h) + dh) *
-                    static_cast<std::ptrdiff_t>(ww);
-    T* __restrict row = dst + h * ww;
-    std::fill(row, row + ws.lo, pad);
-    if (ws.hi > ws.lo)
-      std::copy(src + static_cast<std::ptrdiff_t>(ws.lo) + dw,
-                src + static_cast<std::ptrdiff_t>(ws.hi) + dw, row + ws.lo);
-    std::fill(row + ws.hi, row + ww, pad);
-  }
+// One im2col row: `plane` ([ww]) shifted by the tap offset dw into
+// dst[0, ww), zero outside the image. Only the margins — a few columns
+// for 'same' padding — are zero-filled; the in-image span is one
+// contiguous copy.
+inline void tap_row(const float* __restrict plane, std::size_t ww,
+                    std::ptrdiff_t dw, float* __restrict dst) {
+  const TapSpan ws = tap_span(dw, ww);
+  std::fill(dst, dst + ws.lo, 0.0f);
+  // Index with the signed offset — never form a pointer before the plane
+  // (w + dw >= 0 inside the span).
+  if (ws.hi > ws.lo)
+    std::copy(plane + static_cast<std::ptrdiff_t>(ws.lo) + dw,
+              plane + static_cast<std::ptrdiff_t>(ws.hi) + dw, dst + ws.lo);
+  std::fill(dst + ws.hi, dst + ww, 0.0f);
 }
 
-// The tap (i, j) of im2col row (ci, i, j), advanced in ascending row
-// order by counters, never decoded from the row index.
+// The tap j of im2col row (ci, j), advanced in ascending row order by a
+// counter, never decoded from the row index.
 struct TapCursor {
-  std::size_t i = 0, j = 0;
+  std::size_t j = 0;
   // Steps to the next row; true when it moves to the next plane.
   bool next(const ConvShape& g) {
     if (++j < g.kw) return false;
     j = 0;
-    if (++i < g.kh) return false;
-    i = 0;
     return true;
-  }
-  std::ptrdiff_t dh(const ConvShape& g) const {
-    return static_cast<std::ptrdiff_t>(i) -
-           static_cast<std::ptrdiff_t>(g.pad_h);
   }
   std::ptrdiff_t dw(const ConvShape& g) const {
     return static_cast<std::ptrdiff_t>(j) -
@@ -169,14 +153,13 @@ void conv_f32_batched(std::size_t batch, std::size_t m, const ConvShape& g,
     while (r < hi) {
       const std::size_t s = r / m, i0 = r % m;
       const std::size_t nrows = std::min(hi - r, m - i0);
-      // Tile rows walk the im2col rows in order: plane ci, then tap
-      // (i, j), straight from the sample's input planes.
+      // Tile rows walk the im2col rows in order: plane ci, then tap j,
+      // straight from the sample's input planes.
       const float* plane = x + s * g.in_channels * n;
       TapCursor tap;
       auto pack_tile = [&](std::size_t k0, std::size_t k1, std::size_t& ldb) {
         for (std::size_t kk = k0; kk < k1; ++kk) {
-          tap_row(plane, g.hh, g.ww, tap.dh(g), tap.dw(g), 0.0f,
-                  pack.data() + (kk - k0) * ldp);
+          tap_row(plane, g.ww, tap.dw(g), pack.data() + (kk - k0) * ldp);
           if (tap.next(g)) plane += n;
         }
         ldb = ldp;
@@ -188,24 +171,6 @@ void conv_f32_batched(std::size_t batch, std::size_t m, const ConvShape& g,
       r += nrows;
     }
   });
-}
-
-void im2col(const ConvShape& g, std::size_t batch, const std::uint8_t* x,
-            std::uint8_t* cols) {
-  const std::size_t n = g.n(), taps = g.kh * g.kw;
-  // Plane p = s * in_channels + ci owns column rows [p * taps,
-  // (p + 1) * taps), written in tap order.
-  common::parallel_for(
-      0, batch * g.in_channels, common::grain_for(taps * n),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t p = lo; p < hi; ++p) {
-          std::uint8_t* row = cols + p * taps * n;
-          TapCursor tap;
-          for (std::size_t t = 0; t < taps; ++t, row += n, tap.next(g))
-            tap_row(x + p * n, g.hh, g.ww, tap.dh(g), tap.dw(g),
-                    std::uint8_t{128}, row);
-        }
-      });
 }
 
 void im2row(const ConvShape& g, std::size_t batch, const float* x,
@@ -225,8 +190,7 @@ void im2row(const ConvShape& g, std::size_t batch, const float* x,
           for (std::size_t q = 0; q < k; q += 4) {
             const std::size_t m = std::min<std::size_t>(4, k - q);
             for (std::size_t t = 0; t < m; ++t) {
-              tap_row(plane, g.hh, g.ww, tap.dh(g), tap.dw(g), 0.0f,
-                      stage.data() + t * n);
+              tap_row(plane, g.ww, tap.dw(g), stage.data() + t * n);
               if (tap.next(g)) plane += n;
             }
             const float* __restrict src = stage.data();
@@ -254,28 +218,22 @@ void im2row(const ConvShape& g, std::size_t batch, const float* x,
 
 void col2im_add(const ConvShape& g, std::size_t batch, const float* cols,
                 float* grad_x) {
-  const std::size_t n = g.n(), taps = g.kh * g.kw;
+  const std::size_t n = g.n();
   // Taps of plane (s, ci) only touch that plane, so the plane is the
-  // parallel unit and the tap/row order inside it is fixed. Plane p's
-  // column rows are p * taps .. p * taps + taps - 1.
+  // parallel unit and the tap order inside it is fixed. Plane p's column
+  // rows are p * kw .. p * kw + kw - 1.
   common::parallel_for(
-      0, batch * g.in_channels, common::grain_for(taps * n),
+      0, batch * g.in_channels, common::grain_for(g.kw * n),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t p = lo; p < hi; ++p) {
           float* __restrict gi_plane = grad_x + p * n;
-          const float* __restrict cg_row = cols + p * taps * n;
+          const float* __restrict cg_row = cols + p * g.kw * n;
           TapCursor tap;
-          for (std::size_t t = 0; t < taps; ++t, cg_row += n, tap.next(g)) {
-            const std::ptrdiff_t dh = tap.dh(g), dw = tap.dw(g);
-            const TapSpan hs = tap_span(dh, g.hh), ws = tap_span(dw, g.ww);
-            for (std::size_t h = hs.lo; h < hs.hi; ++h) {
-              float* __restrict dst =
-                  gi_plane + (static_cast<std::ptrdiff_t>(h) + dh) *
-                                 static_cast<std::ptrdiff_t>(g.ww);
-              const float* __restrict src = cg_row + h * g.ww;
-              for (std::size_t w = ws.lo; w < ws.hi; ++w)
-                dst[static_cast<std::ptrdiff_t>(w) + dw] += src[w];
-            }
+          for (std::size_t t = 0; t < g.kw; ++t, cg_row += n, tap.next(g)) {
+            const std::ptrdiff_t dw = tap.dw(g);
+            const TapSpan ws = tap_span(dw, n);
+            for (std::size_t w = ws.lo; w < ws.hi; ++w)
+              gi_plane[static_cast<std::ptrdiff_t>(w) + dw] += cg_row[w];
           }
         }
       });
@@ -398,106 +356,24 @@ inline void transpose_8x16_u8(const __m128i rows[8], std::uint8_t* dst) {
 }
 #endif
 
-// The GEMM half shared by both conv drivers: same (sample, row-block)
-// walk as conv_f32_batched, same grain floor, so the int8 path inherits
-// the fp32 driver's load-balancing shape.
-void conv_gemm_s8u8(std::size_t batch, std::size_t n,
-                    const QuantizedWeights& qw, const std::uint8_t* panel,
-                    const float* bias, float* c, std::size_t c_stride,
-                    RowEpilogue epilogue) {
-  const std::size_t k = qw.k, ko = qw.ko, m = qw.rows;
-  const std::size_t lda = 8 * ko;
-  const std::size_t np = (n + 7) & ~std::size_t{7};
-  const std::size_t panel_stride = lda * np;
-  const simd::SimdOps& ops = simd::ops();
-  const std::size_t rows = batch * m;
-  const std::size_t grain = std::max(common::grain_for(n * k), 8 * kRowBlock);
-  common::parallel_for(0, rows, grain, [&](std::size_t lo, std::size_t hi) {
-    std::size_t r = lo;
-    while (r < hi) {
-      const std::size_t s = r / m, i0 = r % m;
-      const std::size_t nrows = std::min(hi - r, m - i0);
-      float* __restrict c_rows = c + s * c_stride + i0 * n;
-      ops.gemm_s8u8(nrows, n, ko, qw.wq.data() + i0 * lda, lda,
-                    panel + s * panel_stride, qw.corr.data() + i0,
-                    qw.dequant.data() + i0,
-                    bias != nullptr ? bias + i0 : nullptr, c_rows, n);
-      if (epilogue != nullptr)
-        for (std::size_t i = 0; i < nrows; ++i)
-          epilogue(c_rows + i * n, c_rows + i * n, n);
-      r += nrows;
-    }
-  });
-}
-
 }  // namespace
 
 std::uint64_t int8_kernel_dispatches() {
   return g_int8_dispatches.load(std::memory_order_relaxed);
 }
 
-void conv_s8u8_batched(std::size_t batch, std::size_t n,
-                       const QuantizedWeights& qw, const std::uint8_t* cols,
+void conv_s8u8_batched(std::size_t batch, const ConvShape& g,
+                       const QuantizedWeights& qw, const std::uint8_t* xq,
                        std::uint8_t* panel, const float* bias, float* c,
                        std::size_t c_stride, RowEpilogue epilogue) {
   g_int8_dispatches.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t k = qw.k, ko = qw.ko;
-  const std::size_t np = (n + 7) & ~std::size_t{7};
-  const std::size_t panel_stride = 8 * ko * np;  // bytes per sample's panel
-
-  // Oct-pack the u8 im2col columns: panel[(o*np + j)*8 + t] =
-  // cols[(8o+t)*n + j] (0 beyond k; pad columns j >= n hold zero bytes),
-  // so each 64-bit panel unit is exactly the oct one broadcast weight
-  // group consumes and the kernel's column loop needs no scalar tail
-  // (see gemm_s8u8 in nn/simd.h). Pure data movement — parallel over
-  // (sample, oct) rows without affecting determinism; the SSE2 branch
-  // moves the same bytes as the scalar loop, just 16 columns at a time.
-  common::parallel_for(
-      0, batch * ko, common::grain_for(8 * n),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          const std::size_t s = r / ko, o = r % ko;
-          const std::uint8_t* __restrict col_s = cols + s * k * n + 8 * o * n;
-          std::uint8_t* __restrict out = panel + s * panel_stride + o * np * 8;
-          std::size_t j = 0;
-          if (8 * o + 8 <= k) {  // full oct: all eight k rows exist
-#ifdef __SSE2__
-            for (; j + 16 <= n; j += 16) {
-              __m128i rows[8];
-              for (std::size_t t = 0; t < 8; ++t)
-                rows[t] = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(col_s + t * n + j));
-              transpose_8x16_u8(rows, out + j * 8);
-            }
-#endif
-            for (; j < n; ++j)
-              for (std::size_t t = 0; t < 8; ++t)
-                out[j * 8 + t] = col_s[t * n + j];
-          } else {  // final partial oct: zero beyond k
-            for (; j < n; ++j)
-              for (std::size_t t = 0; t < 8; ++t)
-                out[j * 8 + t] =
-                    8 * o + t < k ? col_s[t * n + j] : std::uint8_t{0};
-          }
-          if (np > n) std::memset(out + n * 8, 0, (np - n) * 8);
-        }
-      });
-
-  conv_gemm_s8u8(batch, n, qw, panel, bias, c, c_stride, epilogue);
-}
-
-void conv_s8u8_batched_w(std::size_t batch, std::size_t in_channels,
-                         std::size_t ww, std::size_t kw, std::size_t pad_w,
-                         const QuantizedWeights& qw, const std::uint8_t* xq,
-                         std::uint8_t* panel, const float* bias, float* c,
-                         std::size_t c_stride, RowEpilogue epilogue) {
-  g_int8_dispatches.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t k = qw.k, ko = qw.ko;
-  DEEPCSI_CHECK(k == in_channels * kw);
-  const std::size_t n = ww;  // 'same' + stride 1: one column per pixel
+  const std::size_t k = qw.k, ko = qw.ko, m = qw.rows;
+  DEEPCSI_CHECK(k == g.k());
+  const std::size_t ww = g.ww, kw = g.kw, pad_w = g.pad_w;
+  const std::size_t n = g.n();  // 'same' + stride 1: one column per pixel
   const std::size_t np = (n + 7) & ~std::size_t{7};
   const std::size_t panel_stride = 8 * ko * np;
-  const std::size_t plane_stride = in_channels * ww;  // bytes per sample
+  const std::size_t plane_stride = g.in_channels * ww;  // bytes per sample
 
   // Pack the oct panel straight from the quantized input planes. Lane t
   // of oct o is im2col k-row kk = 8o + t, i.e. channel ci = kk / kw at
@@ -506,8 +382,9 @@ void conv_s8u8_batched_w(std::size_t batch, std::size_t in_channels,
   // outside the image, 0 for lanes past k. Taps of one oct never span
   // more than kw - 1 source positions, so the SIMD middle loop can run
   // wherever every live lane's 16-byte load is in-image; the scalar
-  // edges handle padding. Byte-identical panel to conv_s8u8_batched on
-  // materialized im2col columns (tests/quantize_test.cc pins this).
+  // edges handle padding. Pure data movement, parallel over (sample,
+  // oct) rows without affecting determinism; tests/quantize_test.cc pins
+  // the panel to the oct-pack of materialized im2col columns.
   common::parallel_for(
       0, batch * ko, common::grain_for(8 * n),
       [&](std::size_t lo, std::size_t hi) {
@@ -592,7 +469,27 @@ void conv_s8u8_batched_w(std::size_t batch, std::size_t in_channels,
         }
       });
 
-  conv_gemm_s8u8(batch, n, qw, panel, bias, c, c_stride, epilogue);
+  // The GEMM: same (sample, row-block) walk and grain floor as
+  // conv_f32_batched, so the int8 path inherits its load-balancing shape.
+  const std::size_t lda = 8 * ko;
+  const simd::SimdOps& ops = simd::ops();
+  const std::size_t grain = std::max(common::grain_for(n * k), 8 * kRowBlock);
+  common::parallel_for(0, batch * m, grain, [&](std::size_t lo, std::size_t hi) {
+    std::size_t r = lo;
+    while (r < hi) {
+      const std::size_t s = r / m, i0 = r % m;
+      const std::size_t nrows = std::min(hi - r, m - i0);
+      float* __restrict c_rows = c + s * c_stride + i0 * n;
+      ops.gemm_s8u8(nrows, n, ko, qw.wq.data() + i0 * lda, lda,
+                    panel + s * panel_stride, qw.corr.data() + i0,
+                    qw.dequant.data() + i0,
+                    bias != nullptr ? bias + i0 : nullptr, c_rows, n);
+      if (epilogue != nullptr)
+        for (std::size_t i = 0; i < nrows; ++i)
+          epilogue(c_rows + i * n, c_rows + i * n, n);
+      r += nrows;
+    }
+  });
 }
 
 void dense_s8u8(std::size_t n_batch, std::size_t k,

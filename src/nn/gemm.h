@@ -37,25 +37,24 @@ namespace deepcsi::nn {
 // nn/simd.h's selu kernel is the canonical instance.
 using RowEpilogue = void (*)(const float* x, float* y, std::size_t n);
 
-// One sample's input planes and kernel of a stride-1 'same' convolution
-// (pad = (kernel - 1) / 2 for the odd kernels Conv2d allows). Its im2col
-// matrix has K = in_channels * kh * kw rows: row (ci, i, j), at index
-// (ci * kh + i) * kw + j, holds plane ci shifted by the tap offset
-// (i - pad_h, j - pad_w), zero outside the image, over N = hh * ww
-// columns.
+// One sample's geometry for the one conv shape Conv2d runs: a (1, kw)
+// kernel over height-1 input planes, stride 1, 'same' padding along W
+// (pad_w = (kw - 1) / 2 for the odd kernels Conv2d allows). Its im2col
+// matrix has K = in_channels * kw rows: row (ci, j), at index ci * kw + j,
+// holds plane ci shifted by the tap offset j - pad_w, zero outside the
+// image, over N = ww columns.
 struct ConvShape {
-  std::size_t in_channels, hh, ww;
-  std::size_t kh, kw, pad_h, pad_w;
-  std::size_t k() const { return in_channels * kh * kw; }
-  std::size_t n() const { return hh * ww; }
+  std::size_t in_channels, ww, kw, pad_w;
+  std::size_t k() const { return in_channels * kw; }
+  std::size_t n() const { return ww; }
 };
 
 // The fp32 conv forward: C_s[M, N] = A[M, K] * im2col(x_s) for s in
-// [0, batch), where x_s is the sample's [in_channels][hh][ww] planes
+// [0, batch), where x_s is the sample's [in_channels][ww] planes
 // (samples in_channels * N floats apart) and C_s sits M * N floats
 // apart. No im2col matrix is built: each B k-tile is packed straight
 // from the planes into the per-thread panel, one k-row at a time, with
-// the tap advanced by counters (no divisions) and the padding zeros
+// the tap advanced by a counter (no divisions) and the padding zeros
 // written into the margins. Output row i starts at row_init[i] (the bias
 // fold; nullptr = 0.0f) inside the producing chunk, so every element
 // sums bias-then-ascending-k, exactly as over materialized columns.
@@ -64,12 +63,6 @@ void conv_f32_batched(std::size_t batch, std::size_t m, const ConvShape& g,
                       const float* a, const float* x, float* c,
                       RowEpilogue epilogue = nullptr,
                       const float* row_init = nullptr);
-
-// The materialized u8 im2col matrices ([K][N] per sample) of the
-// quantized non-width conv, padding byte 128 (the u8 encoding of 0.0f,
-// see nn/quantize.h).
-void im2col(const ConvShape& g, std::size_t batch, const std::uint8_t* x,
-            std::uint8_t* cols);
 
 // The transposed fp32 im2col matrices ([N][K] per sample: each pixel's
 // receptive field as one row, zero outside the image) — the B operand of
@@ -118,35 +111,21 @@ void gemm_nn_batch_reduce(std::size_t batch, std::size_t m, std::size_t n,
 // bit-identical across backends, thread counts, and batch chunkings —
 // a STRONGER contract than the fp32 kernels' per-backend determinism.
 
-// Quantized conv forward: C_s[rows, n] = dequant(qw.wq * panel_s) for s
-// in [0, batch). `cols` holds the batch's u8 im2col matrices ([k][n]
-// per sample, contiguous); `panel` is caller-provided scratch of
-// batch * 8 * qw.ko * ((n + 7) & ~7) bytes that this driver oct-packs
-// (eight consecutive k rows interleaved per column, zero beyond k and
-// in the pad columns) so one 64-bit panel unit feeds one broadcast
-// weight oct — the layout gemm_s8u8 documents in nn/simd.h. `epilogue`
-// fuses the activation into the producing chunk exactly like
-// conv_f32_batched.
-void conv_s8u8_batched(std::size_t batch, std::size_t n,
-                       const QuantizedWeights& qw, const std::uint8_t* cols,
+// Quantized conv forward: C_s[qw.rows, N] = dequant(qw.wq * panel_s) for
+// s in [0, batch), where panel_s is im2col(xq_s) oct-packed and xq holds
+// the batch's quantized input planes ([batch][in_channels][ww] bytes).
+// `panel` is caller-provided scratch of batch * 8 * qw.ko * ((N + 7) & ~7)
+// bytes. The panel is packed straight from the planes: unit (o, j) holds,
+// in lane t, im2col k-row kk = 8o + t (channel kk / kw, tap kk % kw) at
+// column j, i.e. xq byte (ci, j + kk % kw - pad_w) — 128, the u8 zero,
+// outside the image — and 0 for kk >= K and in the pad columns j >= N.
+// So one 64-bit panel unit feeds one broadcast weight oct, the layout
+// gemm_s8u8 documents in nn/simd.h. `epilogue` fuses the activation into
+// the producing chunk exactly like conv_f32_batched.
+void conv_s8u8_batched(std::size_t batch, const ConvShape& g,
+                       const QuantizedWeights& qw, const std::uint8_t* xq,
                        std::uint8_t* panel, const float* bias, float* c,
                        std::size_t c_stride, RowEpilogue epilogue);
-
-// Width-conv fast path of conv_s8u8_batched for the DeepCSI geometry
-// (input height 1, kernel height 1, 'same' padding, stride 1): the oct
-// panel is packed STRAIGHT from the quantized input planes `xq`
-// ([batch][in_channels][ww] bytes) instead of a materialized u8 im2col
-// buffer — k-row ci*kw + dj of output column j reads xq byte
-// (ci, j + dj - pad_w), 128 (the u8 zero) outside the image. Panel and
-// output are bit-identical to quantize -> im2col_u8 ->
-// conv_s8u8_batched (pinned by tests/quantize_test.cc); what it saves
-// is the full-size intermediate: one kw-times-the-input store pass plus
-// its re-read, the bulk of the quantized conv's non-GEMM time.
-void conv_s8u8_batched_w(std::size_t batch, std::size_t in_channels,
-                         std::size_t ww, std::size_t kw, std::size_t pad_w,
-                         const QuantizedWeights& qw, const std::uint8_t* xq,
-                         std::uint8_t* panel, const float* bias, float* c,
-                         std::size_t c_stride, RowEpilogue epilogue);
 
 // Quantized dense forward: out[s] = dequant(qw.wq * quantize(x[s])) for
 // s in [0, n_batch) rows of k features. `xq` is caller-provided scratch
@@ -156,9 +135,9 @@ void dense_s8u8(std::size_t n_batch, std::size_t k,
                 const QuantizedWeights& qw, const float* x, std::uint8_t* xq,
                 const float* bias, float* out);
 
-// Number of int8 driver dispatches since process start. Benches assert
-// this moves while measuring the avx2_int8 backend — an "int8" row that
-// silently ran the fp32 path would invalidate the comparison.
+// Number of int8 driver dispatches since process start. Tests assert
+// this moves under the avx2_int8 backend — an "int8" result that
+// silently ran the fp32 path would pass for the wrong reason.
 std::uint64_t int8_kernel_dispatches();
 
 }  // namespace deepcsi::nn

@@ -13,10 +13,10 @@
 //                       (attention maps, ...) out of ONE contiguous
 //                       arena. Layers carrying calibrated int8 weights
 //                       (nn/quantize.h) report extra byte-sized slices here
-//                       — quantized inputs, u8 im2col columns, the
-//                       oct-packed GEMM panel — so the avx2_int8 backend
-//                       stays zero-alloc too; contexts planned BEFORE
-//                       calibration lack those slices and must be rebuilt.
+//                       — quantized inputs and the oct-packed GEMM panel —
+//                       so the avx2_int8 backend stays zero-alloc too;
+//                       contexts planned BEFORE calibration lack those
+//                       slices and must be rebuilt.
 //                       After a warm-up run, run(n) performs zero heap
 //                       allocations.
 //   ContextPool       — a freelist of contexts behind a mutex with an RAII

@@ -47,7 +47,7 @@ namespace deepcsi::nn {
 // past real weights.
 struct QuantizedWeights {
   std::size_t rows = 0;  // output channels / features
-  std::size_t k = 0;     // reduction length (Cin*kh*kw or in_features)
+  std::size_t k = 0;     // reduction length (Cin*kw or in_features)
   std::size_t ko = 0;    // (k + 7) / 8 octs per row
   std::vector<std::int8_t> wq;      // [rows][8 * ko]
   std::vector<float> dequant;       // [rows]  act_scale * w_scale[r]

@@ -95,15 +95,11 @@ struct SimdOps {
   // In-place (dx == g) is allowed.
   void (*selu_grad)(const float* y, const float* g, float* dx, std::size_t n);
 
-  // Width-only stride-2 max pool over one row: out[j] =
-  // max(x[2j], x[2j+1]) for j in [0, ow), with the exact comparison
-  // semantics of the generic pool loop (strictly-greater against a
-  // -3.4e38f floor), so scalar results are bit-identical to the
-  // pre-dispatch code and the avx2 form agrees on every finite input
-  // short of a (-0.0, +0.0) tie — unreachable here, pools only ever see
-  // SELU outputs, which never produce -0.0. The (1, 2) window is the
-  // only pool geometry in the DeepCSI column stack; other geometries
-  // keep the generic loop.
+  // The (1, 2) max pool (nn/pool.h) over one row: out[j] =
+  // max(x[2j], x[2j+1]) for j in [0, ow), comparing strictly-greater
+  // against a -3.4e38f floor. The avx2 form agrees with the scalar loop
+  // on every finite input short of a (-0.0, +0.0) tie — unreachable
+  // here, pools only ever see SELU outputs, which never produce -0.0.
   void (*max_pool_1x2)(const float* x, float* out, std::size_t ow);
 
   // Complex-double row kernels for the feedback codec's V-matrix

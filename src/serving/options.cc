@@ -7,10 +7,8 @@
 
 namespace deepcsi::serving {
 
-namespace {
-
-// Local strict parsers: full-string consumption or bust, errors reported
-// as strings (never exceptions out, never exit — the CLI layers usage on
+// Strict parsers: full-string consumption or bust, errors reported as
+// strings (never exceptions out, never exit — the CLI layers usage on
 // top, tests assert on the message).
 bool parse_int(const std::map<std::string, std::string>& flags,
                const std::string& key, int* out, std::string* error) {
@@ -48,6 +46,8 @@ bool parse_double(const std::map<std::string, std::string>& flags,
     return false;
   }
 }
+
+namespace {
 
 bool parse_port(const std::map<std::string, std::string>& flags,
                 const std::string& key, std::uint16_t* out,

@@ -81,4 +81,16 @@ struct ServeOptions {
       std::string* error);
 };
 
+// The strict number parsers behind ServeOptions::parse, shared with the
+// CLI's other verbs so every numeric flag follows one rule: the whole
+// value must parse, and a double must be finite (std::stod alone takes
+// "nan" and "inf", and NaN passes every range check). An absent key
+// leaves *out untouched and returns true; a bad value returns false with
+// "invalid integer for --key: 'value'" (or "invalid number ...") in
+// *error.
+bool parse_int(const std::map<std::string, std::string>& flags,
+               const std::string& key, int* out, std::string* error);
+bool parse_double(const std::map<std::string, std::string>& flags,
+                  const std::string& key, double* out, std::string* error);
+
 }  // namespace deepcsi::serving

@@ -27,6 +27,30 @@ TEST(ModelBuilderTest, PaperArchitectureHas489301Parameters) {
   EXPECT_EQ(model.num_trainable(), 489301u);
 }
 
+TEST(ModelBuilderTest, ConvWeightsKeepTheWeightFileLayout) {
+  // Weight files store every conv weight as [out, in, 1, kw]: files
+  // written by earlier builds must keep loading, so the layout and the
+  // kernel schedules (paper 7/7/7/5/3, quick 7/5/3, attention 5 in both)
+  // are pinned here, in model order.
+  using Shape = std::vector<std::size_t>;
+  struct Case {
+    ModelConfig cfg;
+    std::vector<Shape> convs;
+  };
+  for (const Case& c :
+       {Case{paper_model_config(),
+             {{128, 5, 1, 7}, {128, 128, 1, 7}, {128, 128, 1, 7},
+              {128, 128, 1, 5}, {128, 128, 1, 3}, {1, 2, 1, 5}}},
+        Case{quick_model_config(),
+             {{32, 5, 1, 7}, {32, 32, 1, 5}, {32, 32, 1, 3}, {1, 2, 1, 5}}}}) {
+    nn::Sequential model = build_deepcsi_model(5, 234, 10, c.cfg);
+    std::vector<Shape> convs;
+    for (const nn::Param* p : model.params())
+      if (p->value.rank() == 4) convs.push_back(p->value.shape());
+    EXPECT_EQ(convs, c.convs) << "filters=" << c.cfg.filters;
+  }
+}
+
 TEST(ModelBuilderTest, ForwardShape) {
   nn::Sequential model = build_deepcsi_model(5, 117, 10, quick_model_config());
   nn::Tensor x({3, 5, 1, 117});

@@ -86,7 +86,7 @@ struct Shape {
 // so conv_f32_batched(batch, m, plain_b(k, n), A, B, C) is C_s = A * B_s
 // with B_s [k][n] at stride k * n and C_s at stride m * n.
 ConvShape plain_b(std::size_t k, std::size_t n) {
-  return {k, 1, n, 1, 1, 0, 0};
+  return {k, n, 1, 0};
 }
 
 // Sizes straddle every kernel edge: m % 4 != 0 tails, n past the packed

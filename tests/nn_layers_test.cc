@@ -30,7 +30,7 @@ namespace {
 
 TEST(Conv2dTest, IdentityKernelReproducesInput) {
   std::mt19937_64 rng(1);
-  Conv2d conv(1, 1, 1, 3, rng);
+  Conv2d conv(1, 1, 3, rng);
   // Set kernel to [0, 1, 0] with zero bias -> identity under 'same' pad.
   conv.params()[0]->value.fill(0.0f);
   conv.params()[0]->value[1] = 1.0f;
@@ -45,7 +45,7 @@ TEST(Conv2dTest, IdentityKernelReproducesInput) {
 
 TEST(Conv2dTest, SamePaddingZerosOutsideBorders) {
   std::mt19937_64 rng(1);
-  Conv2d conv(1, 1, 1, 3, rng);
+  Conv2d conv(1, 1, 3, rng);
   // Kernel [1, 0, 0]: shifts input right; first output sees zero padding.
   conv.params()[0]->value.fill(0.0f);
   conv.params()[0]->value[0] = 1.0f;
@@ -61,7 +61,7 @@ TEST(Conv2dTest, SamePaddingZerosOutsideBorders) {
 TEST(Conv2dTest, BruteForceReference) {
   std::mt19937_64 rng(3);
   const std::size_t ci = 3, co = 4, kw = 5, n = 2, w = 11;
-  Conv2d conv(ci, co, 1, kw, rng);
+  Conv2d conv(ci, co, kw, rng);
   Tensor x({n, ci, 1, w});
   std::normal_distribution<float> dist(0.0f, 1.0f);
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = dist(rng);
@@ -86,101 +86,77 @@ TEST(Conv2dTest, BruteForceReference) {
       }
 }
 
-// grad_W[o][c][i][j] = sum_n sum_(h,w) g[n][o][h][w] * x[n][c][h+i-ph][w+j-pw]
-// in double, zero padding outside the image.
+// grad_W[o][c][0][j] = sum_n sum_w g[n][o][0][w] * x[n][c][0][w+j-pw] in
+// double, zero padding outside the row.
 std::vector<double> conv_weight_grad_reference(const Tensor& x, const Tensor& g,
-                                               std::size_t co, std::size_t kh,
-                                               std::size_t kw) {
-  const std::size_t n = x.dim(0), ci = x.dim(1), hh = x.dim(2), ww = x.dim(3);
-  const std::ptrdiff_t ph = static_cast<std::ptrdiff_t>(kh - 1) / 2;
+                                               std::size_t co, std::size_t kw) {
+  const std::size_t n = x.dim(0), ci = x.dim(1), ww = x.dim(3);
   const std::ptrdiff_t pw = static_cast<std::ptrdiff_t>(kw - 1) / 2;
-  std::vector<double> ref(co * ci * kh * kw, 0.0);
+  std::vector<double> ref(co * ci * kw, 0.0);
   for (std::size_t o = 0; o < co; ++o)
     for (std::size_t c = 0; c < ci; ++c)
-      for (std::size_t i = 0; i < kh; ++i)
-        for (std::size_t j = 0; j < kw; ++j) {
-          double acc = 0.0;
-          for (std::size_t b = 0; b < n; ++b)
-            for (std::size_t h = 0; h < hh; ++h)
-              for (std::size_t w = 0; w < ww; ++w) {
-                const std::ptrdiff_t hs =
-                    static_cast<std::ptrdiff_t>(h + i) - ph;
-                const std::ptrdiff_t ws =
-                    static_cast<std::ptrdiff_t>(w + j) - pw;
-                if (hs < 0 || hs >= static_cast<std::ptrdiff_t>(hh) || ws < 0 ||
-                    ws >= static_cast<std::ptrdiff_t>(ww))
-                  continue;
-                acc += static_cast<double>(g.at4(b, o, h, w)) *
-                       x.at4(b, c, static_cast<std::size_t>(hs),
-                             static_cast<std::size_t>(ws));
-              }
-          ref[((o * ci + c) * kh + i) * kw + j] = acc;
-        }
+      for (std::size_t j = 0; j < kw; ++j) {
+        double acc = 0.0;
+        for (std::size_t b = 0; b < n; ++b)
+          for (std::size_t w = 0; w < ww; ++w) {
+            const std::ptrdiff_t ws = static_cast<std::ptrdiff_t>(w + j) - pw;
+            if (ws < 0 || ws >= static_cast<std::ptrdiff_t>(ww)) continue;
+            acc += static_cast<double>(g.at4(b, o, 0, w)) *
+                   x.at4(b, c, 0, static_cast<std::size_t>(ws));
+          }
+        ref[(o * ci + c) * kw + j] = acc;
+      }
   return ref;
 }
 
 TEST(Conv2dTest, WeightGradientMatchesDoubleReference) {
-  // A width kernel (the DeepCSI geometry) and a 2-D kernel, under every
-  // backend. H*W is not a multiple of 8 (masked GEMM tails) and spans two
-  // k-tiles for the width kernel; Cin*kh*kw is not a multiple of 4 (the
-  // transpose's scalar edge) and, for the width kernel, spans two column
+  // A (1, 5) kernel under every backend. W = 71 is not a multiple of 8
+  // (masked GEMM tails) and spans two k-tiles; Cin*kw = 35 is not a
+  // multiple of 4 (the transpose's scalar edge) and spans two column
   // blocks. A second backward without zero_grad must add to the first.
   tests::BackendGuard guard;
-  struct Shape {
-    std::size_t n, ci, co, kh, kw, hh, ww;
-  };
-  for (const Shape sh :
-       {Shape{3, 7, 5, 1, 5, 1, 71}, Shape{2, 3, 3, 3, 3, 5, 7}}) {
-    std::mt19937_64 rng(17 + sh.kh);
-    std::normal_distribution<float> dist(0.0f, 1.0f);
-    Tensor x({sh.n, sh.ci, sh.hh, sh.ww});
-    Tensor g({sh.n, sh.co, sh.hh, sh.ww});
-    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = dist(rng);
-    for (std::size_t i = 0; i < g.numel(); ++i) g[i] = dist(rng);
-    const std::vector<double> ref =
-        conv_weight_grad_reference(x, g, sh.co, sh.kh, sh.kw);
-    for (const simd::Backend backend : tests::available_backends()) {
-      ASSERT_TRUE(simd::set_active(backend));
-      Conv2d conv(sh.ci, sh.co, sh.kh, sh.kw, rng);
-      conv.forward(x, /*training=*/true);
-      conv.backward(g);
-      const Tensor once = conv.params()[0]->grad;
-      conv.forward(x, /*training=*/true);
-      conv.backward(g);
-      const Tensor& twice = conv.params()[0]->grad;
-      ASSERT_EQ(once.numel(), ref.size());
-      for (std::size_t e = 0; e < ref.size(); ++e) {
-        EXPECT_NEAR(once[e], ref[e], 1e-4 * (1.0 + std::abs(ref[e])))
-            << simd::name(backend) << " kh=" << sh.kh << " e=" << e;
-        EXPECT_NEAR(twice[e], 2.0 * ref[e], 2e-4 * (1.0 + std::abs(ref[e])))
-            << simd::name(backend) << " kh=" << sh.kh << " e=" << e;
-      }
+  const std::size_t n = 3, ci = 7, co = 5, kw = 5, ww = 71;
+  std::mt19937_64 rng(18);
+  std::normal_distribution<float> dist(0.0f, 1.0f);
+  Tensor x({n, ci, 1, ww});
+  Tensor g({n, co, 1, ww});
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = dist(rng);
+  for (std::size_t i = 0; i < g.numel(); ++i) g[i] = dist(rng);
+  const std::vector<double> ref = conv_weight_grad_reference(x, g, co, kw);
+  for (const simd::Backend backend : tests::available_backends()) {
+    ASSERT_TRUE(simd::set_active(backend));
+    Conv2d conv(ci, co, kw, rng);
+    conv.forward(x, /*training=*/true);
+    conv.backward(g);
+    const Tensor once = conv.params()[0]->grad;
+    conv.forward(x, /*training=*/true);
+    conv.backward(g);
+    const Tensor& twice = conv.params()[0]->grad;
+    ASSERT_EQ(once.numel(), ref.size());
+    for (std::size_t e = 0; e < ref.size(); ++e) {
+      EXPECT_NEAR(once[e], ref[e], 1e-4 * (1.0 + std::abs(ref[e])))
+          << simd::name(backend) << " e=" << e;
+      EXPECT_NEAR(twice[e], 2.0 * ref[e], 2e-4 * (1.0 + std::abs(ref[e])))
+          << simd::name(backend) << " e=" << e;
     }
   }
 }
 
 // im2col by its definition, decoding every row index with divisions:
-// row (c, i, j) = plane c shifted by (i - ph, j - pw), `pad` outside.
-template <typename T>
-std::vector<T> reference_im2col(const T* x, std::size_t n, std::size_t ci,
-                                std::size_t hh, std::size_t ww, std::size_t kh,
-                                std::size_t kw, T pad) {
-  const std::size_t k = ci * kh * kw, hw = hh * ww;
-  const std::ptrdiff_t ph = static_cast<std::ptrdiff_t>(kh - 1) / 2;
+// row (c, j) = plane c shifted by j - pw, zero outside.
+std::vector<float> reference_im2col(const float* x, std::size_t n,
+                                    std::size_t ci, std::size_t ww,
+                                    std::size_t kw) {
+  const std::size_t k = ci * kw;
   const std::ptrdiff_t pw = static_cast<std::ptrdiff_t>(kw - 1) / 2;
-  std::vector<T> cols(n * k * hw);
+  std::vector<float> cols(n * k * ww);
   for (std::size_t r = 0; r < n * k; ++r) {
-    const std::size_t b = r / k, c = (r % k) / (kh * kw);
-    const std::size_t i = (r % (kh * kw)) / kw, j = r % kw;
-    for (std::size_t p = 0; p < hw; ++p) {
-      const std::ptrdiff_t hs = static_cast<std::ptrdiff_t>(p / ww + i) - ph;
-      const std::ptrdiff_t ws = static_cast<std::ptrdiff_t>(p % ww + j) - pw;
-      const bool inside = hs >= 0 && hs < static_cast<std::ptrdiff_t>(hh) &&
-                          ws >= 0 && ws < static_cast<std::ptrdiff_t>(ww);
-      cols[r * hw + p] =
-          inside ? x[((b * ci + c) * hh + static_cast<std::size_t>(hs)) * ww +
-                     static_cast<std::size_t>(ws)]
-                 : pad;
+    const std::size_t b = r / k, c = (r % k) / kw, j = r % kw;
+    for (std::size_t p = 0; p < ww; ++p) {
+      const std::ptrdiff_t ws = static_cast<std::ptrdiff_t>(p + j) - pw;
+      const bool inside = ws >= 0 && ws < static_cast<std::ptrdiff_t>(ww);
+      cols[r * ww + p] =
+          inside ? x[(b * ci + c) * ww + static_cast<std::size_t>(ws)] : 0.0f;
     }
   }
   return cols;
@@ -192,121 +168,124 @@ TEST(Conv2dTest, PlanePackedForwardMatchesIm2colGemmBitForBit) {
   // route they replaced: an explicit im2col matrix times the weights
   // through SimdOps::gemm_tile, every row seeded with its bias, then the
   // fused SELU epilogue when planned — under every backend, at 1 and 4
-  // threads. Geometries: every (kh, hh, kw, ww) of the grid below, ww < kw
+  // threads. Geometries: every (kw, ww) of the grid below, ww < kw
   // included; Cin, Cout and the batch rotate through their lists. Inputs
   // are sized exactly, so the sanitizer legs catch a packer overread.
-  // nn::im2col (u8) and nn::im2row (the transposed fp32 columns of the
-  // weight gradient) are pinned to the same definition.
+  // nn::im2row (the transposed columns of the weight gradient) is pinned
+  // to the same definition.
   tests::ThreadGuard thread_guard;
   tests::BackendGuard backend_guard;
   const std::size_t kCin[] = {1, 2, 5, 32}, kCout[] = {1, 3, 32, 33};
   std::size_t g = 0;
-  for (const auto& [kh, hh] : {std::pair<std::size_t, std::size_t>{1, 1},
-                              {1, 4}, {3, 1}, {3, 4}})
-    for (const std::size_t kw : {1, 3, 5, 7})
-      for (const std::size_t ww : {1, 2, 7, 29, 117, 234}) {
-        const std::size_t ci = kCin[g % 4], co = kCout[(g / 4) % 4];
-        const std::size_t k = ci * kh * kw, hw = hh * ww;
-        // Batch 7 on alternate blocks of 16, unless that GEMM is large.
-        const std::size_t n =
-            (g / 16) % 2 == 1 && k * hw * co < 4000000 ? 7 : 1;
-        ++g;
-        std::mt19937_64 rng(1000 + g);
-        std::normal_distribution<float> dist(0.0f, 1.0f);
-        std::vector<float> x(n * ci * hw);
-        for (float& v : x) v = dist(rng);
-        std::vector<std::uint8_t> xq(n * ci * hw);
-        for (std::uint8_t& v : xq) v = static_cast<std::uint8_t>(rng());
-        const std::vector<float> cols =
-            reference_im2col(x.data(), n, ci, hh, ww, kh, kw, 0.0f);
-        const ConvShape shape{ci, hh, ww, kh, kw, (kh - 1) / 2, (kw - 1) / 2};
-        const std::string where = "kh=" + std::to_string(kh) +
-                                  " hh=" + std::to_string(hh) +
-                                  " kw=" + std::to_string(kw) +
-                                  " ww=" + std::to_string(ww) +
-                                  " ci=" + std::to_string(ci) +
-                                  " co=" + std::to_string(co) +
-                                  " n=" + std::to_string(n);
-        {
-          std::vector<float> rows(cols.size());
-          for (std::size_t b = 0; b < n; ++b)
-            for (std::size_t q = 0; q < k; ++q)
-              for (std::size_t p = 0; p < hw; ++p)
-                rows[(b * hw + p) * k + q] = cols[(b * k + q) * hw + p];
-          std::vector<float> got(cols.size());
-          im2row(shape, n, x.data(), got.data());
-          ASSERT_EQ(std::memcmp(got.data(), rows.data(),
-                                rows.size() * sizeof(float)),
-                    0)
-              << "im2row " << where;
-          const std::vector<std::uint8_t> cols_u8 = reference_im2col(
-              xq.data(), n, ci, hh, ww, kh, kw, std::uint8_t{128});
-          std::vector<std::uint8_t> got_u8(cols_u8.size());
-          im2col(shape, n, xq.data(), got_u8.data());
-          ASSERT_EQ(got_u8, cols_u8) << "u8 im2col " << where;
+  for (const std::size_t kw : {1, 3, 5, 7})
+    for (const std::size_t ww : {1, 2, 7, 29, 117, 234}) {
+      const std::size_t ci = kCin[g % 4], co = kCout[(g / 4) % 4];
+      const std::size_t k = ci * kw;
+      // Batch 7 on alternate blocks of 8, unless that GEMM is large.
+      const std::size_t n = (g / 8) % 2 == 1 && k * ww * co < 4000000 ? 7 : 1;
+      ++g;
+      std::mt19937_64 rng(1000 + g);
+      std::normal_distribution<float> dist(0.0f, 1.0f);
+      std::vector<float> x(n * ci * ww);
+      for (float& v : x) v = dist(rng);
+      const std::vector<float> cols = reference_im2col(x.data(), n, ci, ww, kw);
+      const std::string where = "kw=" + std::to_string(kw) +
+                                " ww=" + std::to_string(ww) +
+                                " ci=" + std::to_string(ci) +
+                                " co=" + std::to_string(co) +
+                                " n=" + std::to_string(n);
+      {
+        std::vector<float> rows(cols.size());
+        for (std::size_t b = 0; b < n; ++b)
+          for (std::size_t q = 0; q < k; ++q)
+            for (std::size_t p = 0; p < ww; ++p)
+              rows[(b * ww + p) * k + q] = cols[(b * k + q) * ww + p];
+        std::vector<float> got(cols.size());
+        im2row({ci, ww, kw, (kw - 1) / 2}, n, x.data(), got.data());
+        ASSERT_EQ(std::memcmp(got.data(), rows.data(),
+                              rows.size() * sizeof(float)),
+                  0)
+            << "im2row " << where;
+      }
+
+      Conv2d conv(ci, co, kw, rng);
+      Tensor& bias = conv.params()[1]->value;
+      for (std::size_t o = 0; o < co; ++o) bias[o] = dist(rng);
+      Tensor x_t({n, ci, 1, ww});
+      std::copy(x.begin(), x.end(), x_t.data());
+      InferencePlan plan;
+      plan.in_shape = {1, ci, 1, ww};
+      conv.plan_inference(plan);
+      ASSERT_TRUE(plan.scratch_numel.empty()) << where;
+
+      for (const simd::Backend backend : tests::available_backends()) {
+        ASSERT_TRUE(simd::set_active(backend));
+        const simd::SimdOps& ops = simd::ops();
+        std::vector<float> ref(n * co * ww), ref_selu;
+        for (std::size_t b = 0; b < n; ++b) {
+          float* c_b = ref.data() + b * co * ww;
+          for (std::size_t o = 0; o < co; ++o)
+            std::fill(c_b + o * ww, c_b + (o + 1) * ww, bias[o]);
+          ops.gemm_tile(co, ww, 0, k, conv.params()[0]->value.data(), k, 1,
+                        cols.data() + b * k * ww, ww, c_b, ww);
         }
+        ref_selu = ref;
+        ops.selu(ref_selu.data(), ref_selu.data(), ref_selu.size());
 
-        Conv2d conv(ci, co, kh, kw, rng);
-        Tensor& bias = conv.params()[1]->value;
-        for (std::size_t o = 0; o < co; ++o) bias[o] = dist(rng);
-        Tensor x_t({n, ci, hh, ww});
-        std::copy(x.begin(), x.end(), x_t.data());
-        InferencePlan plan;
-        plan.in_shape = {1, ci, hh, ww};
-        conv.plan_inference(plan);
-        ASSERT_TRUE(plan.scratch_numel.empty()) << where;
-
-        for (const simd::Backend backend : tests::available_backends()) {
-          ASSERT_TRUE(simd::set_active(backend));
-          const simd::SimdOps& ops = simd::ops();
-          std::vector<float> ref(n * co * hw), ref_selu;
-          for (std::size_t b = 0; b < n; ++b) {
-            float* c_b = ref.data() + b * co * hw;
-            for (std::size_t o = 0; o < co; ++o)
-              std::fill(c_b + o * hw, c_b + (o + 1) * hw, bias[o]);
-            ops.gemm_tile(co, hw, 0, k, conv.params()[0]->value.data(), k, 1,
-                          cols.data() + b * k * hw, hw, c_b, hw);
-          }
-          ref_selu = ref;
-          ops.selu(ref_selu.data(), ref_selu.data(), ref_selu.size());
-
-          for (const int threads : {1, 4}) {
-            common::set_num_threads(threads);
-            const std::string ctx = where + " threads=" +
-                                    std::to_string(threads) + " " +
-                                    simd::name(backend);
-            const Tensor y = conv.forward(x_t, /*training=*/threads == 4);
-            ASSERT_EQ(std::memcmp(y.data(), ref.data(),
-                                  ref.size() * sizeof(float)),
+        for (const int threads : {1, 4}) {
+          common::set_num_threads(threads);
+          const std::string ctx = where + " threads=" +
+                                  std::to_string(threads) + " " +
+                                  simd::name(backend);
+          const Tensor y = conv.forward(x_t, /*training=*/threads == 4);
+          ASSERT_EQ(std::memcmp(y.data(), ref.data(),
+                                ref.size() * sizeof(float)),
+                    0)
+              << "forward " << ctx;
+          for (const bool fuse : {false, true}) {
+            plan.fuse_selu = fuse;
+            std::vector<float> out(ref.size());
+            conv.forward_into(
+                {tensor::ConstTensorView(x.data(), {n, ci, 1, ww}),
+                 tensor::TensorView(out.data(), {n, co, 1, ww}), plan});
+            const std::vector<float>& want = fuse ? ref_selu : ref;
+            ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                                  want.size() * sizeof(float)),
                       0)
-                << "forward " << ctx;
-            for (const bool fuse : {false, true}) {
-              plan.fuse_selu = fuse;
-              std::vector<float> out(ref.size());
-              conv.forward_into({tensor::ConstTensorView(x.data(),
-                                                         {n, ci, hh, ww}),
-                                 tensor::TensorView(out.data(),
-                                                    {n, co, hh, ww}),
-                                 plan});
-              const std::vector<float>& want = fuse ? ref_selu : ref;
-              ASSERT_EQ(std::memcmp(out.data(), want.data(),
-                                    want.size() * sizeof(float)),
-                        0)
-                  << "forward_into fuse=" << fuse << " " << ctx;
-            }
+                << "forward_into fuse=" << fuse << " " << ctx;
           }
         }
       }
+    }
 }
 
 TEST(Conv2dTest, RejectsEvenKernels) {
   std::mt19937_64 rng(1);
-  EXPECT_THROW(Conv2d(1, 1, 1, 4, rng), std::logic_error);
+  EXPECT_THROW(Conv2d(1, 1, 4, rng), std::logic_error);
+}
+
+TEST(Conv2dTest, RejectsInputHeightOtherThanOne) {
+  // The conv runs along W over height-1 planes only: any other height is
+  // refused by the training forward and by inference planning alike.
+  std::mt19937_64 rng(1);
+  Conv2d conv(2, 3, 3, rng);
+  for (const std::size_t hh : {std::size_t{2}, std::size_t{4}}) {
+    EXPECT_THROW(conv.forward(Tensor({1, 2, hh, 5}), false), std::logic_error)
+        << "hh=" << hh;
+    InferencePlan plan;
+    plan.in_shape = {1, 2, hh, 5};
+    EXPECT_THROW(conv.plan_inference(plan), std::logic_error) << "hh=" << hh;
+  }
+  InferencePlan plan;
+  plan.in_shape = {1, 2, 1, 5};
+  conv.plan_inference(plan);
+  EXPECT_EQ(plan.out_shape.dim(1), 3u);
+  EXPECT_EQ(plan.out_shape.dim(2), 1u);
 }
 
 TEST(Conv2dTest, RejectsChannelMismatch) {
   std::mt19937_64 rng(1);
-  Conv2d conv(2, 1, 1, 3, rng);
+  Conv2d conv(2, 1, 3, rng);
   Tensor x({1, 3, 1, 4});
   EXPECT_THROW(conv.forward(x, false), std::logic_error);
 }
@@ -359,7 +338,7 @@ TEST(SeluTest, SelfNormalizingFixedPointStatistics) {
 }
 
 TEST(MaxPoolTest, PicksMaximaAndFloorsOddTails) {
-  MaxPool2d pool(1, 2);
+  MaxPool2d pool;
   Tensor x({1, 1, 1, 5});
   const float vals[5] = {3, 1, 4, 1, 5};
   for (std::size_t i = 0; i < 5; ++i) x[i] = vals[i];
@@ -370,7 +349,7 @@ TEST(MaxPoolTest, PicksMaximaAndFloorsOddTails) {
 }
 
 TEST(MaxPoolTest, BackwardRoutesToArgmax) {
-  MaxPool2d pool(1, 2);
+  MaxPool2d pool;
   Tensor x({1, 1, 1, 4});
   x[0] = 1;
   x[1] = 9;
@@ -390,42 +369,37 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
 TEST(MaxPoolTest, FloorOnlyWindowKeepsItsGradient) {
   // A window with no value above the -3.4e38 floor (all NaN, or -inf)
   // must route its gradient to its own first element, never to flat
-  // index 0 — for the (1, 2) fast path and the generic loop alike.
+  // index 0.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   tests::BackendGuard guard;
-  for (const std::size_t kw : {std::size_t{2}, std::size_t{3}}) {
-    for (const simd::Backend backend : tests::available_backends()) {
-      ASSERT_TRUE(simd::set_active(backend));
-      MaxPool2d pool(1, kw);
-      Tensor x({2, 1, 1, 2 * kw});
-      for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(i);
-      for (std::size_t j = 0; j < kw; ++j) {
-        x.at4(1, 0, 0, j) = nan;        // sample 1, window 0: all NaN
-        x.at4(1, 0, 0, kw + j) = -inf;  // sample 1, window 1: all -inf
-      }
-      pool.forward(x, /*training=*/true);
-      Tensor g({2, 1, 1, 2});
-      for (std::size_t i = 0; i < g.numel(); ++i) g[i] = 10.0f * (i + 1);
-      const Tensor gx = pool.backward(g);
-      // Sample 0 is increasing: each window's last element wins.
-      EXPECT_EQ(gx.at4(0, 0, 0, 0), 0.0f) << simd::name(backend);
-      EXPECT_EQ(gx.at4(0, 0, 0, kw - 1), 10.0f) << simd::name(backend);
-      EXPECT_EQ(gx.at4(0, 0, 0, 2 * kw - 1), 20.0f) << simd::name(backend);
-      EXPECT_EQ(gx.at4(1, 0, 0, 0), 30.0f)
-          << simd::name(backend) << " kw=" << kw;
-      EXPECT_EQ(gx.at4(1, 0, 0, kw), 40.0f)
-          << simd::name(backend) << " kw=" << kw;
-      EXPECT_EQ(gx.sum(), 100.0) << simd::name(backend) << " kw=" << kw;
+  for (const simd::Backend backend : tests::available_backends()) {
+    ASSERT_TRUE(simd::set_active(backend));
+    MaxPool2d pool;
+    Tensor x({2, 1, 1, 4});
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(i);
+    for (std::size_t j = 0; j < 2; ++j) {
+      x.at4(1, 0, 0, j) = nan;       // sample 1, window 0: all NaN
+      x.at4(1, 0, 0, 2 + j) = -inf;  // sample 1, window 1: all -inf
     }
+    pool.forward(x, /*training=*/true);
+    Tensor g({2, 1, 1, 2});
+    for (std::size_t i = 0; i < g.numel(); ++i) g[i] = 10.0f * (i + 1);
+    const Tensor gx = pool.backward(g);
+    // Sample 0 is increasing: each window's last element wins.
+    EXPECT_EQ(gx.at4(0, 0, 0, 0), 0.0f) << simd::name(backend);
+    EXPECT_EQ(gx.at4(0, 0, 0, 1), 10.0f) << simd::name(backend);
+    EXPECT_EQ(gx.at4(0, 0, 0, 3), 20.0f) << simd::name(backend);
+    EXPECT_EQ(gx.at4(1, 0, 0, 0), 30.0f) << simd::name(backend);
+    EXPECT_EQ(gx.at4(1, 0, 0, 2), 40.0f) << simd::name(backend);
+    EXPECT_EQ(gx.sum(), 100.0) << simd::name(backend);
   }
 }
 
 TEST(MaxPoolTest, FastPathArgmaxFollowsTheGenericRule) {
-  // The (1, 2) fast path derives its argmax with the generic loop's rule:
-  // the second element wins only when strictly greater than
-  // max(first, -3.4e38). Ties, NaN on either side and values below the
-  // floor all keep the first element.
+  // The pool derives its argmax with the floor rule: the second element
+  // wins only when strictly greater than max(first, -3.4e38). Ties, NaN
+  // on either side and values below the floor all keep the first element.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const float pairs[][2] = {{1, 2},         {2, 1},
@@ -439,7 +413,7 @@ TEST(MaxPoolTest, FastPathArgmaxFollowsTheGenericRule) {
   tests::BackendGuard guard;
   for (const simd::Backend backend : tests::available_backends()) {
     ASSERT_TRUE(simd::set_active(backend));
-    MaxPool2d pool(1, 2);
+    MaxPool2d pool;
     Tensor x({1, 1, 1, 2 * np});
     for (std::size_t p = 0; p < np; ++p) {
       x[2 * p] = pairs[p][0];

@@ -146,7 +146,7 @@ TEST(ParallelDeterminismTest, DenseBitIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminismTest, Conv2dBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   std::mt19937_64 rng(21);
-  nn::Conv2d conv(3, 8, 1, 5, rng);
+  nn::Conv2d conv(3, 8, 5, rng);
   const Tensor x = random_tensor({4, 3, 1, 33}, 23);
   const Tensor g = random_tensor({4, 8, 1, 33}, 29);
   const auto r1 = run_layer(conv, x, g, 1);
@@ -167,7 +167,7 @@ TEST(ParallelDeterminismTest, SeluAndMaxPoolBitIdenticalAcrossThreadCounts) {
   for (const simd::Backend backend : available_backends()) {
     ASSERT_TRUE(simd::set_active(backend));
     nn::Selu selu;
-    nn::MaxPool2d pool(1, 2);
+    nn::MaxPool2d pool;
     const auto s1 = run_layer(selu, x, g_selu, 1);
     const auto s4 = run_layer(selu, x, g_selu, 4);
     const auto p1 = run_layer(pool, x, g_pool, 1);

@@ -353,12 +353,14 @@ TEST(Int8KernelTest, Avx2KernelsBitIdenticalToScalarReference) {
 
 // ------------------------------------- direct width-conv pack equality
 
-// conv_s8u8_batched_w promises byte-identical panels (and therefore
-// bit-identical outputs) to the reference route quantize -> u8 im2col ->
-// conv_s8u8_batched. Pin it on shapes that exercise every code path:
-// widths below the 16-column SIMD chunk (all-scalar pack), the paper
-// model's 117-wide / kw=7 geometry, k not a multiple of 8 (partial final
-// oct), and kw=1 (no padding taps at all).
+// conv_s8u8_batched packs its oct panel straight from the quantized
+// input planes. Pin it, byte for byte, to the layout's definition in
+// nn/gemm.h: materialized u8 im2col columns (pad byte 128), oct-packed as
+// panel[(o * np + j) * 8 + t] = cols[8o + t][j] (0 beyond k and in the pad
+// columns), then the int8ref GEMM and the epilogue. Shapes exercise
+// every code path: widths below the 16-column SIMD chunk (all-scalar
+// pack), the paper model's 117-wide / kw=7 geometry, k not a multiple of
+// 8 (partial final oct), and kw=1 (no padding taps at all).
 TEST(Int8ConvTest, WidthConvPackBitIdenticalToIm2colRoute) {
   std::mt19937_64 rng(555);
   std::uniform_int_distribution<int> xd(1, 255);
@@ -379,8 +381,7 @@ TEST(Int8ConvTest, WidthConvPackBitIdenticalToIm2colRoute) {
     std::vector<std::uint8_t> xq(batch * cin * ww);
     for (auto& v : xq) v = static_cast<std::uint8_t>(xd(rng));
 
-    // Reference route: materialized u8 im2col (pad byte 128) + the
-    // generic driver.
+    // Reference route: materialized u8 im2col (pad byte 128) ...
     std::vector<std::uint8_t> cols(batch * k * ww);
     for (std::size_t s = 0; s < batch; ++s)
       for (std::size_t kk = 0; kk < k; ++kk)
@@ -392,18 +393,30 @@ TEST(Int8ConvTest, WidthConvPackBitIdenticalToIm2colRoute) {
                   ? xq[(s * cin + kk / kw) * ww + static_cast<std::size_t>(x)]
                   : std::uint8_t{128};
         }
-
+    // ... oct-packed by the formula ...
     const std::size_t np = (ww + 7) & ~std::size_t{7};
-    const std::size_t panel_bytes = batch * 8 * q.ko * np;
-    std::vector<std::uint8_t> panel_ref(panel_bytes, 0xAA);
-    std::vector<std::uint8_t> panel_got(panel_bytes, 0x55);
+    const std::size_t panel_stride = 8 * q.ko * np;
+    const std::size_t panel_bytes = batch * panel_stride;
+    std::vector<std::uint8_t> panel_ref(panel_bytes, 0);
+    for (std::size_t s = 0; s < batch; ++s)
+      for (std::size_t o = 0; o < q.ko; ++o)
+        for (std::size_t j = 0; j < ww; ++j)
+          for (std::size_t t = 0; t < 8 && 8 * o + t < k; ++t)
+            panel_ref[s * panel_stride + (o * np + j) * 8 + t] =
+                cols[(s * k + 8 * o + t) * ww + j];
+    // ... then the reference GEMM and the fused epilogue.
     std::vector<float> c_ref(batch * rows * ww), c_got(batch * rows * ww);
-    nn::conv_s8u8_batched(batch, ww, q, cols.data(), panel_ref.data(),
-                          bias.data(), c_ref.data(), rows * ww,
-                          simd::ops().selu);
-    nn::conv_s8u8_batched_w(batch, cin, ww, kw, pad_w, q, xq.data(),
-                            panel_got.data(), bias.data(), c_got.data(),
-                            rows * ww, simd::ops().selu);
+    for (std::size_t s = 0; s < batch; ++s)
+      simd::int8ref::gemm_s8u8(rows, ww, q.ko, q.wq.data(), 8 * q.ko,
+                               panel_ref.data() + s * panel_stride,
+                               q.corr.data(), q.dequant.data(), bias.data(),
+                               c_ref.data() + s * rows * ww, ww);
+    simd::ops().selu(c_ref.data(), c_ref.data(), c_ref.size());
+
+    std::vector<std::uint8_t> panel_got(panel_bytes, 0x55);
+    nn::conv_s8u8_batched(batch, {cin, ww, kw, pad_w}, q, xq.data(),
+                          panel_got.data(), bias.data(), c_got.data(),
+                          rows * ww, simd::ops().selu);
     EXPECT_EQ(std::memcmp(panel_ref.data(), panel_got.data(), panel_bytes), 0)
         << "cin=" << cin << " ww=" << ww << " kw=" << kw;
     EXPECT_EQ(std::memcmp(c_ref.data(), c_got.data(),

@@ -143,7 +143,7 @@ TEST(SimdGemmTest, Avx2MatchesScalarWithinToleranceOnRandomShapes) {
     const auto b = random_vec(sh.batch * sh.k * sh.n, 103 + sh.n);
     const auto bias = random_vec(sh.m, 109 + sh.m);
     // A 1x1 conv over one-row planes multiplies by the input itself.
-    const nn::ConvShape plain_b{sh.k, 1, sh.n, 1, 1, 0, 0};
+    const nn::ConvShape plain_b{sh.k, sh.n, 1, 0};
     for (const bool with_bias : {false, true}) {
       const float* row_init = with_bias ? bias.data() : nullptr;
       auto c_scalar = random_vec(sh.batch * sh.m * sh.n, 107);

@@ -82,37 +82,26 @@ struct Args {
     const auto it = named.find(k);
     return it == named.end() ? fallback : it->second;
   }
-  // Malformed numbers are a usage error, not an uncaught std::stoi throw:
-  // "--epochs foo" must print a diagnostic and exit 2, never abort.
+  // Malformed numbers ("--epochs foo", "--mobile nan") are a usage
+  // error: a diagnostic and exit 2, never an abort. The rule is
+  // ServeOptions' own (serving/options.h), so every verb parses alike.
   int get_int(const std::string& k, int fallback) const {
-    const auto it = named.find(k);
-    if (it == named.end()) return fallback;
-    try {
-      std::size_t consumed = 0;
-      const int value = std::stoi(it->second, &consumed);
-      if (consumed != it->second.size())
-        throw std::invalid_argument("trailing characters");
-      return value;
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "invalid integer for --%s: '%s'\n", k.c_str(),
-                   it->second.c_str());
-      std::exit(2);
-    }
+    int value = fallback;
+    std::string err;
+    if (!serving::parse_int(named, k, &value, &err)) usage_error(err);
+    return value;
   }
   double get_double(const std::string& k, double fallback) const {
-    const auto it = named.find(k);
-    if (it == named.end()) return fallback;
-    try {
-      std::size_t consumed = 0;
-      const double value = std::stod(it->second, &consumed);
-      if (consumed != it->second.size())
-        throw std::invalid_argument("trailing characters");
-      return value;
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "invalid number for --%s: '%s'\n", k.c_str(),
-                   it->second.c_str());
-      std::exit(2);
-    }
+    double value = fallback;
+    std::string err;
+    if (!serving::parse_double(named, k, &value, &err)) usage_error(err);
+    return value;
+  }
+
+ private:
+  [[noreturn]] static void usage_error(const std::string& err) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    std::exit(2);
   }
 };
 
