@@ -73,33 +73,9 @@ class ReportQueue {
   // closed queue always fails.
   bool push(T item) {
     std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) {
-      ++stats_.rejected;
-      return false;
-    }
-    if (items_.size() >= capacity_) {
-      switch (policy_) {
-        case OverflowPolicy::kBlock:
-          space_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
-          if (closed_) {
-            ++stats_.rejected;
-            return false;
-          }
-          break;
-        case OverflowPolicy::kDropOldest:
-          items_.pop_front();
-          ++stats_.dropped_oldest;
-          break;
-        case OverflowPolicy::kReject:
-          ++stats_.rejected;
-          return false;
-      }
-    }
-    items_.push_back(std::move(item));
-    ++stats_.pushed;
-    if (items_.size() > stats_.peak_depth) stats_.peak_depth = items_.size();
-    ready_.notify_one();
-    return true;
+    if (policy_ == OverflowPolicy::kBlock)
+      space_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
+    return admit_locked(item) == PushStatus::kAccepted;
   }
 
   // Non-blocking producer entry (the epoll ingest path, which must never
@@ -115,7 +91,7 @@ class ReportQueue {
     // both backpressure paths without actually filling the queue.
     static Failpoint fp("queue.push");
     if (const auto fire = fp.evaluate()) {
-      std::unique_lock<std::mutex> lock(mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       if (fire->kind == FailKind::kErr && fire->err == EAGAIN) {
         ++stats_.would_block;
         return PushStatus::kWouldBlock;
@@ -123,7 +99,54 @@ class ReportQueue {
       ++stats_.rejected;
       return PushStatus::kRejected;
     }
+    std::lock_guard<std::mutex> lock(mu_);
+    return admit_locked(item);
+  }
+
+  // Consumer side: blocks until an item arrives. Returns false only once
+  // the queue is closed AND drained (pending items are always delivered).
+  bool pop(T& out) {
     std::unique_lock<std::mutex> lock(mu_);
+    ready_.wait(lock, [&] { return !items_.empty() || closed_; });
+    return take_locked(out);
+  }
+
+  // As pop(), but gives up at `deadline`; the status says why no item was
+  // delivered (timeout vs closed-and-drained), decided under the lock.
+  template <typename Clock, typename Duration>
+  PopStatus pop_until(T& out,
+                      const std::chrono::time_point<Clock, Duration>& deadline) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!ready_.wait_until(lock, deadline,
+                           [&] { return !items_.empty() || closed_; }))
+      return PopStatus::kTimeout;
+    return take_locked(out) ? PopStatus::kItem : PopStatus::kClosed;
+  }
+
+  // Wakes all waiters. Producers fail from here on; consumers drain what
+  // is left, then see "closed".
+  void close() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    ready_.notify_all();
+    space_.notify_all();
+  }
+
+  QueueStats stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    QueueStats s = stats_;
+    s.depth = items_.size();
+    return s;
+  }
+
+ private:
+  // The one admission rule, under the lock. A closed queue rejects. A
+  // full one refuses under kBlock (counted as would_block, `item` left
+  // intact; push() waits for room first, so it never sees this), evicts
+  // its oldest item under kDropOldest, and rejects under kReject.
+  PushStatus admit_locked(T& item) {
     if (closed_) {
       ++stats_.rejected;
       return PushStatus::kRejected;
@@ -149,58 +172,6 @@ class ReportQueue {
     return PushStatus::kAccepted;
   }
 
-  // Consumer side: blocks until an item arrives. Returns false only once
-  // the queue is closed AND drained (pending items are always delivered).
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_.wait(lock, [&] { return !items_.empty() || closed_; });
-    return take_locked(out);
-  }
-
-  // As pop(), but gives up at `deadline`; the status says why no item was
-  // delivered (timeout vs closed-and-drained), decided under the lock.
-  template <typename Clock, typename Duration>
-  PopStatus pop_until(T& out,
-                      const std::chrono::time_point<Clock, Duration>& deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!ready_.wait_until(lock, deadline,
-                           [&] { return !items_.empty() || closed_; }))
-      return PopStatus::kTimeout;
-    return take_locked(out) ? PopStatus::kItem : PopStatus::kClosed;
-  }
-
-  // Non-blocking pop; returns false when the queue is momentarily empty.
-  bool try_pop(T& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return take_locked(out);
-  }
-
-  // Wakes all waiters. Producers fail from here on; consumers drain what
-  // is left, then see "closed".
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-    space_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
-  QueueStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    QueueStats s = stats_;
-    s.depth = items_.size();
-    return s;
-  }
-
- private:
   bool take_locked(T& out) {
     if (items_.empty()) return false;
     out = std::move(items_.front());

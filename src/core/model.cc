@@ -59,8 +59,7 @@ nn::Sequential build_deepcsi_model(int in_channels, int width,
     ch = cfg.filters;
   }
 
-  model.emplace<nn::SpatialAttention>(
-      rng, static_cast<std::size_t>(cfg.attention_kernel));
+  model.emplace<nn::SpatialAttention>(rng);
   model.emplace<nn::Flatten>();
 
   int features = ch * w;

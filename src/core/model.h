@@ -21,9 +21,10 @@ namespace deepcsi::core {
 struct ModelConfig {
   int conv_layers = 5;
   int filters = 128;
-  // Kernel widths per conv layer; padded/truncated by default_kernels().
+  // Kernel widths per conv layer. build_deepcsi_model keeps the first
+  // conv_layers entries and pads a shorter list with 7s; it does not call
+  // default_kernels(), so a quick config cut to 2 layers runs {7, 5}.
   std::vector<int> kernel_widths = {7, 7, 7, 5, 3};
-  int attention_kernel = 5;
   std::vector<int> dense = {128, 64};
   std::vector<float> dropout = {0.5f, 0.2f};
   std::uint64_t init_seed = 1234;

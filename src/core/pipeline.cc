@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "common/failpoint.h"
 #include "common/parallel.h"
 #include "dataset/scale.h"
+#include "nn/loss.h"
 #include "nn/serialize.h"
 #include "phy/impairments.h"
 #include "tensor/view.h"
@@ -67,31 +67,6 @@ namespace {
 tensor::StaticShape sample_shape_for(const dataset::InputSpec& spec) {
   return {static_cast<std::size_t>(dataset::num_input_channels(spec)), 1,
           dataset::num_input_columns(spec)};
-}
-
-// Prediction from one logits row, replaying the exact float-op order of
-// nn::softmax followed by a first-max argmax over the probabilities —
-// including the tie-break: float rounding can map distinct logits to the
-// same probability, and the first of those must win exactly as it did on
-// the legacy softmax-then-argmax path. The probabilities are never
-// materialized; exp is deterministic, so recomputing it in the argmax
-// pass yields the same bits the legacy tensor held.
-Authenticator::Prediction predict_row(const float* __restrict row,
-                                      std::size_t k) {
-  const float mx = *std::max_element(row, row + k);
-  float denom = 0.0f;
-  for (std::size_t c = 0; c < k; ++c) denom += std::exp(row[c] - mx);
-  std::size_t best = 0;
-  float best_p = std::exp(row[0] - mx) / denom;
-  for (std::size_t c = 1; c < k; ++c) {
-    const float p = std::exp(row[c] - mx) / denom;
-    if (p > best_p) {
-      best_p = p;
-      best = c;
-    }
-  }
-  return Authenticator::Prediction{static_cast<int>(best),
-                                   static_cast<double>(best_p)};
 }
 
 std::string spec_text(const dataset::InputSpec& spec) {
@@ -266,12 +241,14 @@ void Authenticator::classify_into(std::span<const Report> reports,
 
     const tensor::ConstTensorView logits = ctx.run(n);
     const std::size_t k = logits.dim(1);
-    common::parallel_for(0, n, common::grain_for(k),
-                         [&](std::size_t lo, std::size_t hi) {
-                           for (std::size_t i = lo; i < hi; ++i)
-                             out[at + i] =
-                                 predict_row(logits.data() + i * k, k);
-                         });
+    common::parallel_for(
+        0, n, common::grain_for(k), [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            const nn::RowPrediction p =
+                nn::predict_row(logits.data() + i * k, k);
+            out[at + i] = {p.index, static_cast<double>(p.probability)};
+          }
+        });
   }
 }
 

@@ -1,11 +1,16 @@
 // Spatial attention block (inspired by CBAM's spatial attention module,
-// Woo et al. ECCV 2018), as described in Section III-C of the paper:
+// Woo et al. ECCV 2018), as described in Section III-C of the paper, over
+// the [N, C, 1, W] height-1 planes the conv stack emits:
 //
 //   max/mean over the channel axis -> concat (2 maps) -> conv (1x5, same)
 //   -> sigmoid -> weights w; output = x + x (.) w  (skip connection).
 //
 // The attention lets the classifier focus on the sub-carrier regions where
-// the fingerprint is most informative.
+// the fingerprint is most informative. forward and plan_inference refuse
+// inputs whose height is not 1. Both forwards share the channel maps and
+// the sigmoid gate; only the nested conv call differs. The nested conv is
+// never calibrated (apply_calibration reaches top-level layers only), so
+// the serve path runs it fp32 with no scratch of its own.
 #pragma once
 
 #include <random>
@@ -17,7 +22,9 @@ namespace deepcsi::nn {
 
 class SpatialAttention final : public Layer {
  public:
-  explicit SpatialAttention(std::mt19937_64& rng, std::size_t kernel_w = 5);
+  static constexpr std::size_t kKernelW = 5;  // the paper's (1, 5) conv
+
+  explicit SpatialAttention(std::mt19937_64& rng);
 
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -28,15 +35,9 @@ class SpatialAttention final : public Layer {
   std::string name() const override { return "spatial_attention"; }
 
  private:
-  // Channel-wise max/mean maps shared by both forward paths; records the
-  // max channel only when the training path needs it for backward.
-  void compute_maps(const float* x, std::size_t n_batch, std::size_t ch,
-                    std::size_t hh, std::size_t ww, float* maps,
-                    std::size_t* argmax) const;
-
-  Conv2d conv_;  // 2 -> 1 channels
+  Conv2d conv_;  // 2 -> 1 channels, kKernelW wide
   Tensor cached_x_;
-  Tensor cached_w_;                  // sigmoid output, [N,1,H,W]
+  Tensor cached_w_;                  // sigmoid output, [N, 1, 1, W]
   std::vector<std::size_t> argmax_;  // channel index of the max map
 };
 

@@ -41,9 +41,6 @@ class Conv2d final : public Layer {
   }
   std::string name() const override { return "conv2d"; }
 
-  std::size_t in_channels() const { return in_channels_; }
-  std::size_t out_channels() const { return out_channels_; }
-
   // Attach calibrated int8 weights (nn/quantize.h). After this,
   // contexts planned from the layer stage u8 scratch and forward_into
   // runs the quantized kernels whenever the avx2_int8 backend is

@@ -8,33 +8,6 @@
 #include "common/parallel.h"
 
 namespace deepcsi::nn {
-namespace {
-
-// Floats one sample's copy of every slice in `plan` (and its children)
-// takes.
-std::size_t scratch_stride(const InferencePlan& plan) {
-  std::size_t total = 0;
-  for (std::size_t n : plan.scratch_numel) total += slice_stride(n);
-  for (const InferencePlan& child : plan.children)
-    total += scratch_stride(child);
-  return total;
-}
-
-// Slice by slice, each slice holding one copy per region,
-// slice_stride(numel) apart.
-void resolve_scratch(InferencePlan& plan, float* base, std::size_t regions,
-                     std::size_t& offset) {
-  plan.scratch.clear();
-  plan.scratch.reserve(plan.scratch_numel.size());
-  for (std::size_t n : plan.scratch_numel) {
-    plan.scratch.push_back(base + offset);
-    offset += regions * slice_stride(n);
-  }
-  for (InferencePlan& child : plan.children)
-    resolve_scratch(child, base, regions, offset);
-}
-
-}  // namespace
 
 InferenceContext::InferenceContext(const SharedModel& model,
                                    tensor::StaticShape sample_shape,
@@ -67,7 +40,8 @@ InferenceContext::InferenceContext(const SharedModel& model,
     graph_->layer(i).plan_inference(plan);
     shape = plan.out_shape;
     if (shape.numel() > max_activation) max_activation = shape.numel();
-    total_scratch += regions_ * scratch_stride(plan);
+    for (std::size_t numel : plan.scratch_numel)
+      total_scratch += regions_ * slice_stride(numel);
     steps_.push_back(std::move(plan));
   }
   out_shape_ = shape;
@@ -105,8 +79,13 @@ InferenceContext::InferenceContext(const SharedModel& model,
   act_[0] = input_ + input_floats;
   act_[1] = act_[0] + act_floats;
   std::size_t offset = input_floats + 2 * act_floats;
+  // Slice by slice, each slice holding one copy per region,
+  // slice_stride(numel) apart.
   for (InferencePlan& plan : steps_)
-    resolve_scratch(plan, arena_.data(), regions_, offset);
+    for (std::size_t numel : plan.scratch_numel) {
+      plan.scratch.push_back(arena_.data() + offset);
+      offset += regions_ * slice_stride(numel);
+    }
   logits_ = arena_.data() + offset;
   DEEPCSI_CHECK(offset + logits_floats == arena_.size());
 }

@@ -6,9 +6,10 @@
 //                       it is const.
 //   InferenceContext  — all mutable execution state for one serving lane.
 //                       Built once per (model, max batch): the constructor
-//                       walks the layer graph, asks every layer for its
-//                       per-sample output shape and scratch needs via
-//                       plan_inference, and carves input + ping-pong
+//                       walks the layer graph, asks every top-level
+//                       layer for its per-sample output shape and scratch
+//                       needs via plan_inference (one flat plan per
+//                       layer), and carves input + ping-pong
 //                       activations + logits + every scratch slice
 //                       (attention maps, ...) out of ONE contiguous
 //                       arena. Layers carrying calibrated int8 weights
@@ -86,7 +87,6 @@ class SharedModel {
 
   const Sequential& graph() const { return *model_; }
   std::shared_ptr<const Sequential> graph_ptr() const { return model_; }
-  std::size_t num_trainable() const { return graph().num_trainable(); }
 
   // Escape hatch for weight loading and the stateful train/eval path.
   // Mutating the graph while contexts built from this model are running
@@ -178,7 +178,6 @@ class ContextPool {
   std::size_t contexts_built() const;
   // Bytes held by the arenas of every context built so far.
   std::size_t arena_bytes() const;
-  std::size_t max_batch() const { return max_batch_; }
 
  private:
   friend class Lease;

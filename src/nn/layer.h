@@ -49,7 +49,8 @@ inline std::size_t slice_stride(std::size_t numel) {
 // (heap use is fine there); immutable during forward_into. Plans are per
 // sample: the context runs a batch one sample at a time, and each chunk
 // of that work runs in its own region of the arena, with its own copy of
-// every scratch slice.
+// every scratch slice. Plans are flat, one per top-level layer: the conv
+// nested in SpatialAttention stays fp32 and needs no slice of its own.
 struct InferencePlan {
   tensor::StaticShape in_shape;   // dim0 = 1: one sample
   tensor::StaticShape out_shape;  // filled by plan_inference
@@ -68,9 +69,6 @@ struct InferencePlan {
   // position-independent, so fused output is bitwise identical to the
   // unfused two-step path.
   bool fuse_selu = false;
-  // Plans for nested layers (e.g. the conv inside SpatialAttention),
-  // planned recursively and resolved like any other slice.
-  std::vector<InferencePlan> children;
 };
 
 // Arguments of one const forward step. x/y are the rows being run; all
@@ -101,9 +99,9 @@ class Layer {
   // gradients are accumulated into params()[i]->grad.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
-  // Given plan.in_shape, fill out_shape / scratch_numel / children. Must
-  // be pure: no layer state may change, so any number of contexts can be
-  // planned from one shared model.
+  // Given plan.in_shape, fill out_shape / scratch_numel. Must be pure: no
+  // layer state may change, so any number of contexts can be planned from
+  // one shared model.
   virtual void plan_inference(InferencePlan& plan) const = 0;
 
   // Const forward for serving: read args.x, write args.y, using only the
@@ -115,12 +113,6 @@ class Layer {
   virtual std::vector<Param*> params() { return {}; }
   virtual std::vector<const Param*> params() const { return {}; }
   virtual std::string name() const = 0;
-
-  std::size_t num_trainable() const {
-    std::size_t n = 0;
-    for (const Param* p : params()) n += p->numel();
-    return n;
-  }
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -25,6 +25,22 @@ Tensor softmax(const Tensor& logits) {
   return probs;
 }
 
+RowPrediction predict_row(const float* __restrict row, std::size_t k) {
+  const float mx = *std::max_element(row, row + k);
+  float denom = 0.0f;
+  for (std::size_t c = 0; c < k; ++c) denom += std::exp(row[c] - mx);
+  std::size_t best = 0;
+  float best_p = std::exp(row[0] - mx) / denom;
+  for (std::size_t c = 1; c < k; ++c) {
+    const float p = std::exp(row[c] - mx) / denom;
+    if (p > best_p) {
+      best_p = p;
+      best = c;
+    }
+  }
+  return {static_cast<int>(best), best_p};
+}
+
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  const std::vector<int>& labels) {
   DEEPCSI_CHECK(logits.rank() == 2);
@@ -45,8 +61,7 @@ LossResult softmax_cross_entropy(const Tensor& logits,
     float* __restrict g = res.grad_logits.data() + r * k;
     const float* __restrict p = res.probs.data() + r * k;
     loss -= std::log(std::max(p[static_cast<std::size_t>(y)], 1e-12f));
-    res.predictions[r] = static_cast<int>(
-        std::max_element(p, p + k) - p);
+    res.predictions[r] = predict_row(logits.data() + r * k, k).index;
     g[static_cast<std::size_t>(y)] -= 1.0f;
     for (std::size_t c = 0; c < k; ++c) g[c] *= inv_n;
   }

@@ -63,8 +63,9 @@ QuantizedWeights quantize_weights(const float* w, std::size_t rows,
                                   std::size_t k, float input_absmax);
 
 // One calibrated layer: the absmax of the activations feeding the
-// layer at `layer_index` in the Sequential graph (top level only — the
-// conv nested inside SpatialAttention stays fp32).
+// layer at `layer_index` in the Sequential graph. Top level only: the
+// conv nested inside SpatialAttention is never calibrated, which is why
+// its serve path runs fp32 with no plan of its own (nn/attention.h).
 struct CalibrationEntry {
   std::uint32_t layer_index = 0;
   float input_absmax = 0.0f;

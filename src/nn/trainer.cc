@@ -1,7 +1,6 @@
 #include "nn/trainer.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 #include <random>
 
@@ -127,12 +126,6 @@ TrainResult train_classifier(Sequential& model, const LabeledSet& train,
       }
     }
     result.epochs.push_back(stats);
-    if (cfg.verbose) {
-      std::printf("  epoch %2d  loss %.4f  train acc %.3f  val acc %.3f\n",
-                  epoch + 1, stats.train_loss, stats.train_accuracy,
-                  stats.val_accuracy);
-      std::fflush(stdout);
-    }
   }
 
   if (cfg.restore_best && !best_weights.empty()) restore(model, best_weights);
@@ -152,16 +145,11 @@ ConfusionMatrix evaluate(Sequential& model, const LabeledSet& test,
         std::min(n, at + static_cast<std::size_t>(batch_size));
     const Tensor xb = tensor::slice_rows(test.x, at, hi);
     const Tensor logits = model.forward(xb, /*training=*/false);
-    const Tensor probs = softmax(logits);
-    const std::size_t k = probs.dim(1);
+    const std::size_t k = logits.dim(1);
     // The per-sample heavy lifting above (gather + forward) runs on the
-    // pool; the argmax over ~10 classes is too small to dispatch.
-    for (std::size_t r = 0; r < hi - at; ++r) {
-      const float* row = probs.data() + r * k;
-      const int pred =
-          static_cast<int>(std::max_element(row, row + k) - row);
-      cm.add(test.y[at + r], pred);
-    }
+    // pool; the prediction over ~10 classes is too small to dispatch.
+    for (std::size_t r = 0; r < hi - at; ++r)
+      cm.add(test.y[at + r], predict_row(logits.data() + r * k, k).index);
   }
   return cm;
 }

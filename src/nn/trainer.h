@@ -29,7 +29,6 @@ struct TrainConfig {
   float lr = 1e-3f;
   double val_fraction = 0.2;  // tail of the provided training set
   std::uint64_t shuffle_seed = 1;
-  bool verbose = false;
   bool restore_best = true;  // reload weights of the best validation epoch
 };
 

@@ -117,7 +117,7 @@ TEST(GradCheckTest, MaxPool) {
 
 TEST(GradCheckTest, SpatialAttention) {
   std::mt19937_64 rng(7);
-  SpatialAttention layer(rng, 3);
+  SpatialAttention layer(rng);
   // Keep channel maxima unambiguous so the max is locally smooth.
   Tensor x({1, 3, 1, 6});
   std::mt19937_64 vrng(8);
@@ -161,7 +161,7 @@ TEST(GradCheckTest, FullModelComposition) {
   model.emplace<Conv2d>(2, 3, 3, rng);
   model.emplace<Selu>();
   model.emplace<MaxPool2d>();
-  model.emplace<SpatialAttention>(rng, 3);
+  model.emplace<SpatialAttention>(rng);
   model.emplace<Flatten>();
   model.emplace<Dense>(3 * 4, 3, rng);
 

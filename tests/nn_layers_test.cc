@@ -503,6 +503,25 @@ TEST(AttentionTest, OutputBetweenXAndTwiceX) {
   }
 }
 
+TEST(AttentionTest, RejectsInputHeightOtherThanOne) {
+  // The attention gates height-1 planes along W only: any other height is
+  // refused by the training forward and by inference planning alike.
+  std::mt19937_64 rng(1);
+  SpatialAttention att(rng);
+  for (const std::size_t hh : {std::size_t{2}, std::size_t{4}}) {
+    EXPECT_THROW(att.forward(Tensor({1, 3, hh, 5}), false), std::logic_error)
+        << "hh=" << hh;
+    InferencePlan plan;
+    plan.in_shape = {1, 3, hh, 5};
+    EXPECT_THROW(att.plan_inference(plan), std::logic_error) << "hh=" << hh;
+  }
+  InferencePlan plan;
+  plan.in_shape = {1, 3, 1, 5};
+  att.plan_inference(plan);
+  EXPECT_EQ(plan.out_shape.dim(1), 3u);
+  EXPECT_EQ(plan.out_shape.dim(2), 1u);
+}
+
 TEST(FlattenTest, RoundTripShape) {
   Flatten flat;
   Tensor x({2, 3, 1, 4});

@@ -492,6 +492,40 @@ TEST(Int8ModelTest, CalibratedContextRunsInt8AndIsThreadCountInvariant) {
   }
 }
 
+TEST(Int8ModelTest, CalibrationLeavesTheAttentionOnItsTwoFp32Slices) {
+  // Calibration reaches only top-level Conv2d/Dense layers, so the conv
+  // nested in the attention stays fp32 and the attention plans exactly
+  // its max/mean maps and its gate weights, while the convs around it
+  // gain their int8 slices.
+  const dataset::InputSpec spec = test_spec();
+  core::Authenticator auth = tests::quick_authenticator(spec);
+  const std::vector<nn::CalibrationEntry> entries =
+      auth.calibrate_int8(random_input(spec, 8, 4));
+  ASSERT_FALSE(entries.empty());
+  const nn::Sequential& graph = auth.model();
+  tensor::StaticShape shape = {
+      1, static_cast<std::size_t>(dataset::num_input_channels(spec)), 1,
+      dataset::num_input_columns(spec)};
+  int attentions = 0, int8_convs = 0;
+  for (std::size_t i = 0; i < graph.num_layers(); ++i) {
+    nn::InferencePlan plan;
+    plan.in_shape = shape;
+    graph.layer(i).plan_inference(plan);
+    const std::string name = graph.layer(i).name();
+    if (name == "conv2d" && plan.scratch_numel.size() == 2) ++int8_convs;
+    if (name == "spatial_attention") {
+      ++attentions;
+      const std::size_t ww = shape.dim(3);
+      EXPECT_EQ(plan.scratch_numel, (std::vector<std::size_t>{2 * ww, ww}));
+      for (const nn::CalibrationEntry& e : entries)
+        EXPECT_NE(e.layer_index, i) << "the attention was calibrated";
+    }
+    shape = plan.out_shape;
+  }
+  EXPECT_EQ(attentions, 1);
+  EXPECT_EQ(int8_convs, 3);
+}
+
 TEST(Int8ModelTest, UncalibratedModelDegradesToBitIdenticalAvx2) {
   if (!avx2_available()) GTEST_SKIP() << "avx2_int8 backend unavailable";
   BackendGuard guard;

@@ -29,6 +29,7 @@ namespace deepcsi {
 namespace {
 
 using common::OverflowPolicy;
+using common::PopStatus;
 using common::ReportQueue;
 using tests::expect_identical;
 using tests::quick_authenticator;
@@ -78,10 +79,12 @@ TEST(ReportQueueTest, DropOldestPolicyEvictsTheOldestUndrainedItem) {
 
   int v = -1;
   for (int expect : {5, 6, 7}) {  // freshest three survive, in order
-    ASSERT_TRUE(q.try_pop(v));
+    ASSERT_EQ(q.pop_until(v, std::chrono::steady_clock::now()),
+              PopStatus::kItem);
     EXPECT_EQ(v, expect);
   }
-  EXPECT_FALSE(q.try_pop(v));
+  EXPECT_EQ(q.pop_until(v, std::chrono::steady_clock::now()),
+            PopStatus::kTimeout);
 }
 
 TEST(ReportQueueTest, RejectPolicyRefusesWhenFull) {
@@ -96,9 +99,76 @@ TEST(ReportQueueTest, RejectPolicyRefusesWhenFull) {
 
   int v = -1;
   for (int expect : {0, 1, 2}) {  // the oldest items are the ones kept
-    ASSERT_TRUE(q.try_pop(v));
+    ASSERT_EQ(q.pop_until(v, std::chrono::steady_clock::now()),
+              PopStatus::kItem);
     EXPECT_EQ(v, expect);
   }
+}
+
+TEST(ReportQueueTest, TryPushOnAFullQueueFollowsEachPolicy) {
+  // A genuinely full queue, no failpoint: kBlock refuses without waiting
+  // and leaves the item with the caller, kDropOldest evicts the oldest
+  // item, kReject refuses and counts it.
+  using common::PushStatus;
+  {
+    ReportQueue<std::vector<int>> q(2, OverflowPolicy::kBlock);
+    for (int i = 0; i < 2; ++i) {
+      std::vector<int> item{i};
+      ASSERT_EQ(q.try_push(item), PushStatus::kAccepted);
+    }
+    std::vector<int> item{7, 8, 9};
+    EXPECT_EQ(q.try_push(item), PushStatus::kWouldBlock);
+    EXPECT_EQ(item, (std::vector<int>{7, 8, 9}));  // not moved from
+    const common::QueueStats s = q.stats();
+    EXPECT_EQ(s.would_block, 1u);
+    EXPECT_EQ(s.pushed, 2u);
+    EXPECT_EQ(s.rejected, 0u);
+    EXPECT_EQ(s.depth, 2u);
+  }
+  {
+    ReportQueue<int> q(2, OverflowPolicy::kDropOldest);
+    for (int i = 0; i < 3; ++i) {
+      int item = i;
+      ASSERT_EQ(q.try_push(item), PushStatus::kAccepted);
+    }
+    const common::QueueStats s = q.stats();
+    EXPECT_EQ(s.dropped_oldest, 1u);
+    EXPECT_EQ(s.would_block, 0u);
+    int v = -1;
+    for (int expect : {1, 2}) {
+      ASSERT_EQ(q.pop_until(v, std::chrono::steady_clock::now()),
+                PopStatus::kItem);
+      EXPECT_EQ(v, expect);
+    }
+  }
+  {
+    ReportQueue<int> q(2, OverflowPolicy::kReject);
+    for (int i = 0; i < 2; ++i) {
+      int item = i;
+      ASSERT_EQ(q.try_push(item), PushStatus::kAccepted);
+    }
+    int item = 2;
+    EXPECT_EQ(q.try_push(item), PushStatus::kRejected);
+    const common::QueueStats s = q.stats();
+    EXPECT_EQ(s.rejected, 1u);
+    EXPECT_EQ(s.would_block, 0u);
+    EXPECT_EQ(s.depth, 2u);
+  }
+}
+
+TEST(ReportQueueTest, CloseReleasesABlockedPushWhichFails) {
+  ReportQueue<int> q(1, OverflowPolicy::kBlock);
+  ASSERT_TRUE(q.push(0));
+  std::atomic<int> result{-1};
+  std::thread producer([&] { result = q.push(1) ? 1 : 0; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(result.load(), -1);  // parked on the full queue
+  q.close();
+  producer.join();
+  EXPECT_EQ(result.load(), 0);
+  const common::QueueStats s = q.stats();
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.pushed, 1u);
 }
 
 TEST(ReportQueueTest, CloseDrainsPendingItemsThenReportsClosed) {
